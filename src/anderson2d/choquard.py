@@ -73,27 +73,8 @@ class ChoquardProblem:
         return self.op.apply_minus_hc(u) + self.a.field * u
 
     def solve_a(self, rhs):
-        """A^{-1} rhs via the shifted resolvent (a folded into the rhs
-        iteration is avoided: A is handled directly by preconditioned CG)."""
-        import scipy.sparse.linalg as spla
-        grid = self.grid
-        n = grid.n
-        sym = -grid.lap_multiplier + self.op.c + max(float(np.mean(self.a.field)), 0.0)
-
-        def matvec(v):
-            return self.apply_a(v.reshape(n, n)).ravel()
-
-        def precond(v):
-            return np.real(np.fft.ifft2(np.fft.fft2(v.reshape(n, n)) / sym)).ravel()
-
-        A = spla.LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-        M = spla.LinearOperator((n * n, n * n), matvec=precond, dtype=float)
-        u, info = spla.cg(A, rhs.ravel(), rtol=1e-12, atol=0.0, M=M,
-                          maxiter=10 * n * n)
-        if info != 0:
-            from .operator import SolverError
-            raise SolverError(f"Choquard quadratic solve stalled (info={info})")
-        return u.reshape(n, n)
+        """A^{-1} rhs: the resolvent solve with the field shift a >= 0."""
+        return self.op.resolvent_solve(self.a.field, rhs, rtol=1e-12)
 
 
 def lambda_apply(prob, u):

@@ -54,7 +54,8 @@ def build_parser():
     common(p)
     p.add_argument("--potential", default=None)
     p.add_argument("--sweep", default=None,
-                   help="r=...,T=...,lambda=... comma-separated sweeps")
+                   help="sweeps as key=values, keys separated by ';' and "
+                        "values by ',', e.g. \"r=0.8,0.4;T=0.5;lambda=1,10\"")
 
     for name in ("solve-mp", "solve-fountain"):
         p = sub.add_parser(name, help="variational saddle search")

@@ -5,23 +5,22 @@ With c > lambda_max(H) the operator -H_c = -H + c is positive definite
 the energy norm, resolvent, heat semigroup e^{t H_c} = e^{t(H - c)} and
 Green function used throughout.
 
-Dense eigendecompositions back everything for n <= DENSE_LIMIT; above
-that the routines fall back to Krylov methods (Lanczos for the shift,
-preconditioned CG for resolvents, expm_multiply for the semigroup).
+Every grid size runs the same matrix-free path: H is applied as the FFT
+Laplacian plus a diagonal, and the one preconditioner is (-Delta + sigma)^{-1}
+applied by FFT.  Eigenpairs come from block LOBPCG, shifted solves from
+preconditioned CG, and the semigroup from a Chebyshev expansion.  Each
+solve checks its true residual and raises SolverError when it misses.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import warnings
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .grid import dirac, geodesic_dist_field, inner_l2, norm_l2
 from .noise import NoiseSample
-
-DENSE_LIMIT = 48
 
 
 class SolverError(RuntimeError):
@@ -33,12 +32,41 @@ def laplacian_apply(grid, u):
     return np.real(np.fft.ifft2(grid.lap_multiplier * np.fft.fft2(u)))
 
 
+def flat_operator(grid, apply):
+    """A field map u -> apply(u) as a LinearOperator on flattened fields."""
+    n = grid.n
+    return spla.LinearOperator(
+        (n * n, n * n), dtype=float,
+        matvec=lambda v: apply(np.asarray(v, dtype=float).reshape(n, n)).ravel())
+
+
+def fft_preconditioner(grid, sigma):
+    """(-Delta + sigma)^{-1}, sigma > 0, applied by FFT."""
+    sym = -grid.lap_multiplier + sigma
+    return flat_operator(grid, lambda u: np.real(np.fft.ifft2(np.fft.fft2(u) / sym)))
+
+
+def chebyshev_heat_coefficients(z):
+    """Coefficients I_k(z) e^{-z}, k = 0, 1, ..., of e^{z (x - 1)} in T_k(x).
+
+    They are the Fourier coefficients of e^{z (cos theta - 1)}, sampled
+    past the point where they fall below 1e-17 so that aliasing is below
+    rounding.  The series is cut where the coefficients reach the FFT's
+    rounding floor, about 1e-14 of the first one.
+    """
+    size = 64
+    while size < 2 * (np.sqrt(80.0 * z) + 32):
+        size *= 2
+    theta = 2.0 * np.pi * np.arange(size) / size
+    coeff = np.real(np.fft.fft(np.exp(z * (np.cos(theta) - 1.0))))[:size // 2] / size
+    small = np.nonzero(np.abs(coeff) < 1e-14 * coeff[0])[0]
+    return coeff[:small[0]] if len(small) else coeff
+
+
 class AndersonOperator:
     """Frozen noise sample with the positivity shift and solver routines.
 
-    Immutable after construction; the dense eigendecomposition (small
-    grids) is computed lazily but cached, so concurrent reads are safe
-    once warmed.
+    Immutable after construction, so concurrent reads are safe.
     """
 
     def __init__(self, grid, xi, renormalize=False):
@@ -51,7 +79,8 @@ class AndersonOperator:
             xi = xi - np.log(grid.n) / (2.0 * np.pi)
         self.xi = xi
         self.renormalize = renormalize
-        self.lambda_max_h = self._compute_lambda_max()
+        vals, _ = self.lowest_eigenpairs(lambda u: -self.apply_h(u), 1, sigma=1.0)
+        self.lambda_max_h = -float(vals[0])
         self.c = max(self.lambda_max_h, 0.0) + 1.0
 
     # -- basic applications -------------------------------------------------
@@ -62,7 +91,7 @@ class AndersonOperator:
         return laplacian_apply(self.grid, u) + self.xi * u
 
     def apply_minus_hc(self, u, lam=0.0):
-        """(-H_c + lam) u = -H u + (c + lam) u."""
+        """(-H_c + lam) u = -H u + (c + lam) u; lam is a number or a field."""
         u = self.grid.check_field(u)
         return -self.apply_h(u) + (self.c + lam) * u
 
@@ -74,10 +103,8 @@ class AndersonOperator:
     def energy_inner(self, u, v):
         return inner_l2(self.grid, self.apply_minus_hc(u), v)
 
-    # -- dense machinery (small grids and oracles) --------------------------
-
     def dense_h(self):
-        """Dense n^2 x n^2 matrix of H in the nodal basis."""
+        """Dense n^2 x n^2 matrix of H in the nodal basis (an oracle)."""
         n = self.grid.n
         basis = np.eye(n * n).reshape(n * n, n, n)
         lap = np.real(
@@ -88,55 +115,60 @@ class AndersonOperator:
         mat[np.diag_indices_from(mat)] += self.xi.ravel()
         return mat
 
-    @cached_property
-    def _dense_eig(self):
-        """Eigendecomposition of dense H (ascending); only for small n."""
-        vals, vecs = scipy.linalg.eigh(self.dense_h())
-        return vals, vecs
+    # -- eigenpairs ---------------------------------------------------------
 
-    def _compute_lambda_max(self):
-        n = self.grid.n
-        if n <= DENSE_LIMIT:
-            vals, _ = self._dense_eig
-            return float(vals[-1])
-        op = spla.LinearOperator(
-            (n * n, n * n),
-            matvec=lambda v: self.apply_h(np.asarray(v).reshape(n, n)).ravel(),
-            dtype=float,
-        )
-        try:
-            vals = spla.eigsh(op, k=1, which="LA", return_eigenvectors=False,
-                              tol=1e-10)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"lambda_max eigensolve did not converge: {exc}")
-        return float(vals[0])
+    def lowest_eigenpairs(self, apply_a, k, sigma, apply_b=None):
+        """Lowest k eigenpairs of the symmetric pencil (A, B), B = I by default.
+
+        apply_a and apply_b map fields to fields; B must be positive
+        definite.  Block LOBPCG runs from a seeded random start with the
+        preconditioner (-Delta + sigma)^{-1}.  Returns ascending eigenvalues
+        and the eigenvectors as Euclidean-unit columns of flattened fields.
+        Raises SolverError unless every pair's true residual satisfies
+        ||A x - mu B x|| <= 1e-8 (1 + |mu|) ||B x||.
+        """
+        grid = self.grid
+        n = grid.n
+        A = flat_operator(grid, apply_a)
+        B = None if apply_b is None else flat_operator(grid, apply_b)
+        X = np.random.default_rng(0).standard_normal((n * n, k))
+        with warnings.catch_warnings():
+            # non-convergence is judged by the residual check below
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs = spla.lobpcg(A, X, B=B, M=fft_preconditioner(grid, sigma),
+                                     largest=False, tol=1e-10, maxiter=1000)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        for mu, x in zip(vals, vecs.T):
+            ax = A.matvec(x)
+            bx = x if B is None else B.matvec(x)
+            res = np.linalg.norm(ax - mu * bx)
+            if not res <= 1e-8 * (1.0 + abs(mu)) * np.linalg.norm(bx):
+                raise SolverError(
+                    f"LOBPCG did not converge: eigenvalue {mu:.12g} has "
+                    f"residual {res:.3e}")
+        return vals, vecs
 
     # -- resolvent ----------------------------------------------------------
 
     def resolvent_solve(self, lam, rhs, rtol=1e-10):
-        """Solve (-H_c + lam) u = rhs with lam >= 0.
+        """Solve (-H_c + lam) u = rhs for a shift lam >= 0, a number or a field.
 
-        Preconditioned CG with the exact inverse of (-Delta + c + lam).
-        The returned u satisfies ||(-H_c+lam)u - rhs|| <= 1e-9 ||rhs||.
+        Preconditioned CG with (-Delta + c + mean(lam))^{-1}.  The returned
+        u satisfies ||(-H_c+lam)u - rhs|| <= 1e-9 ||rhs||; otherwise
+        SolverError is raised.
         """
-        if lam < 0:
-            raise ValueError(f"resolvent shift must be >= 0, got {lam}")
+        if np.min(lam) < 0:
+            raise ValueError(f"resolvent shift must be >= 0, got min {np.min(lam)}")
         grid = self.grid
         rhs = grid.check_field(rhs)
         rhs_norm = norm_l2(grid, rhs)
         if rhs_norm == 0.0:
             return grid.zeros()
         n = grid.n
-        sym = -grid.lap_multiplier + (self.c + lam)  # symbol of -Delta + c + lam
-
-        def matvec(v):
-            return self.apply_minus_hc(v.reshape(n, n), lam).ravel()
-
-        def precond(v):
-            return np.real(np.fft.ifft2(np.fft.fft2(v.reshape(n, n)) / sym)).ravel()
-
-        A = spla.LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-        M = spla.LinearOperator((n * n, n * n), matvec=precond, dtype=float)
+        A = flat_operator(grid, lambda u: self.apply_minus_hc(u, lam))
+        M = fft_preconditioner(grid, self.c + float(np.mean(lam)))
         u, info = spla.cg(A, rhs.ravel(), rtol=rtol, atol=0.0, M=M,
                           maxiter=10 * n * n)
         u = u.reshape(n, n)
@@ -151,27 +183,33 @@ class AndersonOperator:
     # -- heat semigroup -----------------------------------------------------
 
     def heat_apply(self, t, u):
-        """e^{t H_c} u = e^{t (H - c)} u for t > 0."""
+        """e^{t H_c} u = e^{t (H - c)} u for t > 0.
+
+        Chebyshev expansion (Tal-Ezer & Kosloff 1984) on the interval
+        [lo, hi] = [min symbol + min xi - c, lambda_max - c] that holds the
+        spectrum of H - c: with X = (H - c - mid) / half mapping it to
+        [-1, 1] and z = t half, e^{t(H - c)} = e^{t hi} sum_k' 2 I_k(z)
+        e^{-z} T_k(X).
+        """
         if t <= 0:
             raise ValueError(f"heat time must be positive, got {t}")
-        grid = self.grid
-        u = grid.check_field(u)
-        n = grid.n
-        if n <= DENSE_LIMIT:
-            vals, vecs = self._dense_eig
-            coeff = vecs.T @ u.ravel()
-            out = vecs @ (np.exp(t * (vals - self.c)) * coeff)
-            return out.reshape(n, n)
-        def matvec(v):
-            v = np.asarray(v).ravel()
-            return t * (self.apply_h(v.reshape(n, n)).ravel() - self.c * v)
+        u = self.grid.check_field(u)
+        lo = float(self.grid.lap_multiplier.min() + self.xi.min()) - self.c
+        hi = self.lambda_max_h - self.c
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        coeff = chebyshev_heat_coefficients(t * half)
 
-        op = spla.LinearOperator((n * n, n * n), matvec=matvec, rmatvec=matvec,
-                                 dtype=float)
-        trace = t * (float(np.sum(self.grid.lap_multiplier)) +
-                     float(np.sum(self.xi)) - self.c * n * n)
-        out = spla.expm_multiply(op, u.ravel(), traceA=trace)
-        return out.reshape(n, n)
+        def apply_x(v):
+            return (self.apply_h(v) - (self.c + mid) * v) / half
+
+        prev, cur = u, apply_x(u)
+        out = coeff[0] * prev
+        if len(coeff) > 1:
+            out = out + 2.0 * coeff[1] * cur
+        for ck in coeff[2:]:
+            prev, cur = cur, 2.0 * apply_x(cur) - prev
+            out += 2.0 * ck * cur
+        return np.exp(t * hi) * out
 
     def green_function(self, x0):
         """Green column G(., x0) of -H_c: solves (-H_c) G = dirac_{x0}."""

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .grid import geodesic_dist_field, inner_l2
-from .operator import DENSE_LIMIT, SolverError
 from .potentials import Potential
 
 
@@ -98,25 +95,12 @@ def form_bound_constant(op, a, eta):
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    grid = op.grid
-    a = np.abs(grid.check_field(_as_field(a)))
-    n = grid.n
-    if n <= DENSE_LIMIT:
-        mat = -eta * (-op.dense_h() + op.c * np.eye(n * n))
-        mat[np.diag_indices_from(mat)] += a.ravel()
-        top = float(scipy.linalg.eigvalsh(mat)[-1])
-    else:
-        def matvec(v):
-            u = v.reshape(n, n)
-            return (a * u - eta * op.apply_minus_hc(u)).ravel()
-
-        lin = spla.LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-        try:
-            top = float(spla.eigsh(lin, k=1, which="LA",
-                                   return_eigenvectors=False, tol=1e-10)[0])
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"form-bound eigensolve did not converge: {exc}")
-    return max(top, 0.0)
+    a = np.abs(op.grid.check_field(_as_field(a)))
+    # top of |a| - eta (-H_c) = -eta * lowest of -H + (c - |a| / eta)
+    diag = op.c - a / eta
+    vals, _ = op.lowest_eigenpairs(lambda u: -op.apply_h(u) + diag * u, 1,
+                                   sigma=max(float(np.mean(diag)), 0.0) + 1.0)
+    return max(-eta * float(vals[0]), 0.0)
 
 
 def _index_m(vals):
@@ -177,38 +161,28 @@ def _canonicalize_clusters(grid, vals, vecs, tol=1e-9):
 
 
 def eigendecompose(op, a, count):
-    """Lowest `count` eigenpairs of the symmetric form -H_c + a."""
+    """Lowest `count` eigenpairs of the symmetric form -H_c + a.
+
+    More pairs are computed while all of them are non-positive, so that
+    the index m is placed by a positive eigenvalue.
+    """
     grid = op.grid
     a = grid.check_field(_as_field(a))
     n = grid.n
     if count > n * n:
         raise ValueError(f"count {count} exceeds grid dimension {n * n}")
-    if n <= DENSE_LIMIT:
-        mat = -op.dense_h() + op.c * np.eye(n * n)
-        mat[np.diag_indices_from(mat)] += a.ravel()
-        vals, vecs = scipy.linalg.eigh(mat)
+    sigma = max(op.c + float(np.mean(a)), 0.0) + 1.0
+    k = count
+    while True:
+        vals, vecs = op.lowest_eigenpairs(lambda u: op.apply_minus_hc(u) + a * u,
+                                          k, sigma=sigma)
         m = _index_m(vals)
-        vals_out = vals[:count]
-        # eigh columns are Euclidean-orthonormal; rescale to L^2
-        fields = [vecs[:, i].reshape(n, n) / grid.h for i in range(count)]
-    else:
-        def matvec(v):
-            u = v.reshape(n, n)
-            return (op.apply_minus_hc(u) + a * u).ravel()
-
-        lin = spla.LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-        k = count
-        while True:
-            try:
-                vals_out, vecs = spla.eigsh(lin, k=k, which="SA", tol=1e-10)
-            except spla.ArpackNoConvergence as exc:
-                raise SolverError(f"eigendecomposition did not converge: {exc}")
-            if vals_out[-1] > 0 or k >= n * n - 1:
-                break
-            k = min(2 * k, n * n - 1)  # need a positive eigenvalue to place m
-        m = _index_m(vals_out)
-        fields = [vecs[:, i].reshape(n, n) / grid.h for i in range(count)]
-        vals_out = vals_out[:count]
+        if m < k - 1 or k >= n * n:
+            break
+        k = min(2 * k, n * n)
+    vals_out = vals[:count]
+    # Euclidean-unit columns; rescale to L^2
+    fields = [vecs[:, i].reshape(n, n) / grid.h for i in range(count)]
     fields = _canonicalize_clusters(grid, vals_out, fields)
     res = np.array([
         np.sqrt(max(inner_l2(grid, r, r), 0.0))
@@ -223,7 +197,10 @@ def gap_delta(op, a, spectrum):
     """Positive gap of -H_c + a over the complement of its non-positive modes.
 
     delta = min over E_{>m} of (v, (-H_c + a) v) / (v, (-H_c) v); raises
-    if the computed value is not strictly positive.
+    if the computed value is not strictly positive.  With P the projector
+    onto E_{>m}, which -H_c + a leaves invariant, delta is the lowest
+    eigenvalue of the pencil (P A P + s (I - P), P B P + (I - P)); the
+    filler s lies above every quotient, which is at most 1 + max(a).
     """
     grid = op.grid
     a = grid.check_field(_as_field(a))
@@ -231,38 +208,24 @@ def gap_delta(op, a, spectrum):
     m = spectrum.m
     if len(spectrum.eigenvalues) <= m + 1:
         raise ValueError("spectrum must contain at least m + 2 eigenpairs")
-    if n <= DENSE_LIMIT:
-        mat_a = -op.dense_h() + op.c * np.eye(n * n)
-        mat_b = mat_a.copy()
-        mat_a[np.diag_indices_from(mat_a)] += a.ravel()
-        vals, vecs = scipy.linalg.eigh(mat_a)
-        V = vecs[:, m + 1:]
-        A_r = np.diag(vals[m + 1:])
-        B_r = V.T @ mat_b @ V
-        delta = float(scipy.linalg.eigh(A_r, B_r, eigvals_only=True)[0])
-    else:
-        def amat(v):
-            u = np.asarray(v).reshape(n, n)
-            return (op.apply_minus_hc(u) + a * u).reshape(-1, 1)
+    # L^2-orthonormal fields are Euclidean-orthogonal with norm 1/h
+    E = grid.h * np.reshape(spectrum.eigenfields[:m + 1], (m + 1, n * n)).T
+    filler = max(10.0, 2.0 + float(np.max(a)))
 
-        def bmat(v):
-            return op.apply_minus_hc(np.asarray(v).reshape(n, n)).reshape(-1, 1)
+    def project(u):
+        return u - (E @ (E.T @ u.ravel())).reshape(n, n)
 
-        A = spla.LinearOperator((n * n, n * n),
-                                matvec=lambda v: amat(v).ravel(), dtype=float)
-        B = spla.LinearOperator((n * n, n * n),
-                                matvec=lambda v: bmat(v).ravel(), dtype=float)
-        if m >= 0:
-            # L^2-orthogonality to e_0..e_m == B-orthogonality to (-H_c)^{-1} e_i
-            Y = np.stack([op.resolvent_solve(0.0, e).ravel()
-                          for e in spectrum.eigenfields[:m + 1]], axis=1)
-        else:
-            Y = None
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((n * n, 3))
-        vals, _ = spla.lobpcg(A, X, B=B, Y=Y, largest=False, tol=1e-10,
-                              maxiter=500)
-        delta = float(np.min(vals))
+    def apply_a(u):
+        pu = project(u)
+        return project(op.apply_minus_hc(pu) + a * pu) + filler * (u - pu)
+
+    def apply_b(u):
+        pu = project(u)
+        return project(op.apply_minus_hc(pu)) + (u - pu)
+
+    vals, _ = op.lowest_eigenpairs(apply_a, 1, apply_b=apply_b,
+                                   sigma=max(op.c + float(np.mean(a)), 0.0) + 1.0)
+    delta = float(vals[0])
     if delta <= 0:
         raise SpectralInconsistencyError(
             f"computed spectral gap is not positive: delta = {delta}"

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .grid import inner_l2, norm_l2
-from .operator import DENSE_LIMIT, SolverError
+from .operator import SolverError, fft_preconditioner, flat_operator
 from .potentials import Potential
 from .spectral import eigendecompose
 
@@ -273,44 +273,23 @@ def _deflation_factor(grid, u, roots, rho, with_grad=False):
     return M
 
 
-def _newton_step_dense(problem, u, G, M, Mgrad):
-    """Newton step for the deflated system G(u) = M(u) R(u), dense path."""
-    op, grid = problem.op, problem.grid
-    n = grid.n
-    J = -op.dense_h() + op.c * np.eye(n * n)
-    J[np.diag_indices_from(J)] += (problem.a.field - problem.nl.dfdz(u)).ravel()
-    # Mgrad holds grad(log M), so J_G = M J + (M R) grad(log M)^T
-    JG = M * J + np.outer(G.ravel(), Mgrad.ravel())
-    try:
-        step = scipy.linalg.solve(JG, -G.ravel())
-    except scipy.linalg.LinAlgError:
-        raise SolverError("singular deflated Jacobian")
-    return step.reshape(n, n)
-
-
-def _newton_step_krylov(problem, u, G, M, Mgrad):
-    import scipy.sparse.linalg as spla
-    op, grid = problem.op, problem.grid
-    n = grid.n
+def _newton_step(problem, u, G, M, Mgrad):
+    """LGMRES step for the deflated system G(u) = M(u) R(u)."""
+    op = problem.op
     dfu = problem.nl.dfdz(u)
 
-    def matvec(v):
-        w = v.reshape(n, n)
-        Jv = op.apply_minus_hc(w) + (problem.a.field - dfu) * w
-        return (M * Jv + G * float(np.sum(Mgrad * w))).ravel()
+    def jacobian(w):
+        Jw = op.apply_minus_hc(w) + (problem.a.field - dfu) * w
+        # Mgrad holds grad(log M), so J_G = M J + (M R) grad(log M)^T
+        return M * Jw + G * float(np.sum(Mgrad * w))
 
-    A = spla.LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    sym = -grid.lap_multiplier + op.c
-
-    def precond(v):
-        return np.real(np.fft.ifft2(np.fft.fft2(v.reshape(n, n)) / sym)).ravel() / M
-
-    Mop = spla.LinearOperator((n * n, n * n), matvec=precond, dtype=float)
-    step, info = spla.lgmres(A, -G.ravel(), M=Mop, rtol=1e-8, atol=0.0,
+    A = flat_operator(problem.grid, jacobian)
+    precond = fft_preconditioner(problem.grid, op.c) * (1.0 / M)
+    step, info = spla.lgmres(A, -G.ravel(), M=precond, rtol=1e-8, atol=0.0,
                              maxiter=200)
     if info != 0:
         raise SolverError(f"deflated Newton linear solve stalled (info={info})")
-    return step.reshape(n, n)
+    return step.reshape(G.shape)
 
 
 def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=(), rho=0.5):
@@ -321,7 +300,6 @@ def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=(), rho=0.5):
     """
     grid = problem.grid
     u = grid.check_field(u0).copy()
-    dense = grid.n <= DENSE_LIMIT
     for it in range(max_iter):
         R = residual(problem, u)
         res = norm_l2(grid, R)
@@ -329,10 +307,7 @@ def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=(), rho=0.5):
             return u, it
         M, Mgrad = _deflation_factor(grid, u, deflate, rho, with_grad=True)
         G = M * R
-        if dense:
-            step = _newton_step_dense(problem, u, G, M, Mgrad)
-        else:
-            step = _newton_step_krylov(problem, u, G, M, Mgrad)
+        step = _newton_step(problem, u, G, M, Mgrad)
         # backtracking on the deflated residual norm
         g0 = norm_l2(grid, G)
         s = 1.0
@@ -423,8 +398,8 @@ def _path_mountain_pass(problem, direction, path_points, step, tol, max_iter,
     path = [t * endpoint for t in ts]
     coarse_tol = max(np.sqrt(tol), 100 * tol)
     best = None
+    phis = [energy(problem, p) for p in path]
     for it in range(max_iter):
-        phis = [energy(problem, p) for p in path]
         j = int(np.argmax(phis[1:-1])) + 1
         r, g = energy_gradient(problem, path[j])
         gn = grad_e_norm(problem, r, g)
@@ -435,14 +410,16 @@ def _path_mountain_pass(problem, direction, path_points, step, tol, max_iter,
         s = step
         for _ in range(20):
             cand = path[j] - s * g
-            if energy(problem, cand) < phis[j]:
-                path[j] = cand
+            phi_cand = energy(problem, cand)
+            if phi_cand < phis[j]:
+                path[j], phis[j] = cand, phi_cand
                 break
             s *= 0.5
         # re-tension: replace neighbours by averages to keep the string taut
         for i in (j - 1, j + 1):
             if 0 < i < len(path) - 1:
                 path[i] = 0.5 * (path[i - 1] + path[i + 1])
+                phis[i] = energy(problem, path[i])
     return best, max_iter
 
 

@@ -191,3 +191,15 @@ def test_cli_out_root_env(tmp_path, monkeypatch):
     code = cli.main(["sample-noise", "--n", "8", "--seed", "1"])
     assert code == 0
     assert (tmp_path / "sample-noise" / "noise.f64").exists()
+
+
+def test_cli_sweep_help_example_parses(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["kato-check", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    example = help_text.split('e.g. "')[1].split('"')[0]
+    args = cli.build_parser().parse_args(["kato-check", "--sweep", example])
+    config = cli.config_from_args(args)
+    assert config.sweep_r == (0.8, 0.4)
+    assert config.sweep_T == (0.5,)
+    assert config.sweep_lambda == (1.0, 10.0)

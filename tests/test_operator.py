@@ -48,9 +48,18 @@ def test_shift_and_positivity(grid8, op8):
         assert q >= a2.inner_l2(grid8, u, u) - 1e-10  # -H_c >= 1
 
 
-def test_zero_noise_shift(op16_zero):
-    assert op16_zero.lambda_max_h == pytest.approx(0.0, abs=1e-8)
-    assert op16_zero.c == pytest.approx(1.0, abs=1e-8)
+@pytest.mark.parametrize("n", [16, 64])
+def test_zero_noise_shift(n):
+    op = AndersonOperator(TorusGrid(n), np.zeros((n, n)))
+    assert op.lambda_max_h == pytest.approx(0.0, abs=1e-8)
+    assert op.c == pytest.approx(1.0, abs=1e-8)
+
+
+def test_shift_is_deterministic():
+    g = TorusGrid(64)
+    shifts = [AndersonOperator(g, a2.sample_white_noise(g, 5)).c.hex()
+              for _ in range(3)]
+    assert len(set(shifts)) == 1
 
 
 def test_constant_noise_shift():
@@ -115,8 +124,21 @@ def test_heat_semigroup(grid16, op16_zero, op8, grid8):
     ab = op8.heat_apply(0.3, op8.heat_apply(0.2, v))
     full = op8.heat_apply(0.5, v)
     assert np.max(np.abs(ab - full)) <= 1e-8 * max(np.max(np.abs(full)), 1.0)
+    vals, vecs = np.linalg.eigh(dense_h_oracle(grid8, op8.xi) - op8.c * np.eye(64))
+    oracle = vecs @ (np.exp(0.5 * vals) * (vecs.T @ v.ravel()))
+    assert np.max(np.abs(full.ravel() - oracle)) <= 1e-10 * np.max(np.abs(oracle))
     with pytest.raises(ValueError):
         op8.heat_apply(0.0, v)
+
+
+def test_chebyshev_heat_coefficients():
+    import scipy.special
+    for z in (1e-8, 0.5, 10.0, 512.0, 2e4):
+        coeff = a2.operator.chebyshev_heat_coefficients(z)
+        ref = scipy.special.ive(np.arange(len(coeff) + 1), z)
+        assert np.max(np.abs(coeff - ref[:-1])) <= 1e-14
+        # the first dropped term is at the FFT's rounding floor
+        assert ref[-1] <= 1e-14 * ref[0] + 1e-15
 
 
 def test_green_function(grid8, op8, op16_zero, grid16):

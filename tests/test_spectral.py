@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,12 +92,14 @@ def test_form_bound_inequality_random_fields(op8, grid8):
         assert lhs <= rhs + 1e-8
 
 
-def test_eigendecompose_zero_noise(op16_zero):
-    spec = a2.eigendecompose(op16_zero, constant(op16_zero.grid, 0.0), 6)
+@pytest.mark.parametrize("n", [16, 64])
+def test_eigendecompose_zero_noise(n):
+    op = AndersonOperator(TorusGrid(n), np.zeros((n, n)))
+    spec = a2.eigendecompose(op, constant(op.grid, 0.0), 6)
     assert np.allclose(spec.eigenvalues, [1, 2, 2, 2, 2, 3], atol=1e-10)
     assert spec.m == -1
 
-    shifted = a2.eigendecompose(op16_zero, constant(op16_zero.grid, -3.0), 8)
+    shifted = a2.eigendecompose(op, constant(op.grid, -3.0), 8)
     assert np.allclose(shifted.eigenvalues, [-2, -1, -1, -1, -1, 0, 0, 0],
                        atol=1e-10)
     assert shifted.m == 8  # mu = -2, -1 (x4), 0 (x4): nine non-positive values
@@ -156,6 +160,31 @@ def test_gap_delta_trivial_and_positive(op16_zero, grid16, op8, grid8):
     pos_a = Potential(field=np.abs(random_field(grid8, 12)), declared_p=2.0)
     spec = a2.eigendecompose(op8, pos_a, 6)
     assert a2.gap_delta(op8, pos_a, spec) >= 1.0 - 1e-9
+
+    # mu = |k|^2 - 2: the four zeros sit inside the excluded block, and the
+    # gap is attained at |k|^2 = 4 with (4 - 2) / (4 + 1)
+    g = TorusGrid(64)
+    op = AndersonOperator(g, g.zeros())
+    shifted = constant(g, -3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = a2.eigendecompose(op, shifted, 12)
+        delta = a2.gap_delta(op, shifted, spec)
+    assert spec.m == 8
+    assert delta == pytest.approx(2.0 / 5.0, abs=1e-10)
+
+
+def test_gap_delta_converges_at_n64():
+    g = TorusGrid(64)
+    op = AndersonOperator(g, a2.sample_white_noise(g, 11))
+    a = Potential(field=constant(g, -3.0).field + smooth_random(g, 5).field
+                  + spike(g, 2.0).field, declared_p=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = a2.eigendecompose(op, a, 8)
+        delta = a2.gap_delta(op, a, spec)
+    assert spec.m == 2
+    assert 0.0 < delta <= spec.eigenvalues[3]
 
 
 def test_gap_delta_matches_dense_pencil(grid8, op8):
