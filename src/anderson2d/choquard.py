@@ -145,8 +145,10 @@ def _selfdual_gradient(prob, u):
     -A^{-1} grad.
     """
     grid = prob.grid
-    lam = lambda_apply(prob, u)
-    r = prob.apply_a(u) + lam
+    u = grid.check_field(u)
+    conv_f = convolve(grid, prob._f(u), prob.w)
+    g = prob._g(u)
+    r = prob.apply_a(u) - conv_f * g  # A u + Lambda u
     z = prob.solve_a(r) if np.any(r) else np.zeros_like(u)
     I = 0.5 * inner_l2(grid, r, z)
     # DLambda^T z for the power maps (or user-supplied derivatives)
@@ -161,9 +163,8 @@ def _selfdual_gradient(prob, u):
             gp = np.where(u != 0,
                           (prob.q - 1.0) * np.abs(u)**(prob.q - 2.0), 0.0)
     w_rev = np.roll(prob.w[::-1, ::-1], 1, axis=(0, 1))  # w~ (x) = w(-x)
-    gz = prob._g(u) * z
-    term1 = -fp * convolve(grid, gz, w_rev)
-    term2 = -convolve(grid, prob._f(u), prob.w) * gp * z
+    term1 = -fp * convolve(grid, g * z, w_rev)
+    term2 = -conv_f * gp * z
     grad = r + term1 + term2
     return I, r, z, grad
 
@@ -177,11 +178,11 @@ def selfdual_minimize(prob, init=None, tol=1e-6, max_iter=5000):
     """
     grid = prob.grid
     u = grid.zeros() if init is None else grid.check_field(init).copy()
+    I, r, z, grad = _selfdual_gradient(prob, u)
     trace = []
     it = 0
     converged = False
     for it in range(max_iter):
-        I, r, z, grad = _selfdual_gradient(prob, u)
         res = norm_l2(grid, r)
         trace.append((I, res, prob.op.energy_norm(u)))
         if I <= tol * tol and res <= tol * (1.0 + norm_l2(grid, u)):
@@ -196,15 +197,16 @@ def selfdual_minimize(prob, init=None, tol=1e-6, max_iter=5000):
         accepted = False
         for _ in range(40):
             cand = u + s * direction
-            I_cand, r_cand, _, _ = _selfdual_gradient(prob, cand)
-            if I_cand <= I + 1e-4 * s * slope:
+            cand_data = _selfdual_gradient(prob, cand)
+            if cand_data[0] <= I + 1e-4 * s * slope:
+                # the accepted candidate's data serve the next iterate
                 u = cand
+                I, r, z, grad = cand_data
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
             break
-    I, r, z, grad = _selfdual_gradient(prob, u)
     res = norm_l2(grid, r)
     if not converged:
         converged = I <= tol * tol and res <= tol * (1.0 + norm_l2(grid, u))

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error, 3 solver non-convergence,
+Exit codes: 0 success, 2 config error, 3 solver non-convergence or a
+partial result (artifacts are written, the manifest lists the warnings),
 4 internal inconsistency (a structural identity failed numerically).
 """
 
@@ -133,7 +134,9 @@ def main(argv=None):
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
     print(f"wrote {len(manifest.checksums)} artifacts to {config.out}")
-    return 0
+    for warning in manifest.warnings:
+        print(f"partial result: {warning}", file=sys.stderr)
+    return 3 if manifest.warnings else 0
 
 
 if __name__ == "__main__":

@@ -31,11 +31,20 @@ class TorusGrid:
 
     n: int
     h: float = field(init=False)
+    _lap: np.ndarray = field(init=False, repr=False, compare=False)
+    _lap_half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
             raise ValueError(f"grid size must be positive and even, got {self.n}")
         object.__setattr__(self, "h", TWO_PI / self.n)
+        # the symbol is built once per grid and shared read-only
+        lap = -(self.k1**2 + self.k2**2)
+        half = lap[:, :self.n // 2 + 1].copy()
+        lap.flags.writeable = False
+        half.flags.writeable = False
+        object.__setattr__(self, "_lap", lap)
+        object.__setattr__(self, "_lap_half", half)
 
     @property
     def x1(self):
@@ -59,8 +68,19 @@ class TorusGrid:
 
     @property
     def lap_multiplier(self):
-        """Fourier symbol of the Laplacian, -(k1^2 + k2^2), FFT layout."""
-        return -(self.k1**2 + self.k2**2)
+        """Fourier symbol of the Laplacian, -(k1^2 + k2^2), FFT layout.
+
+        Read-only and the same array on every read.
+        """
+        return self._lap
+
+    @property
+    def lap_multiplier_half(self):
+        """The symbol on the rfft2 half-spectrum, shape (n, n//2 + 1).
+
+        Columns k2 = 0 .. n/2 of lap_multiplier; read-only.
+        """
+        return self._lap_half
 
     @property
     def cell_measure(self):
@@ -163,9 +183,7 @@ def hermitian_symmetry_defect(grid, u_hat):
 
 def canonical_coefficients(grid, u_hat):
     """Flatten FFT-layout coefficients into the canonical wavenumber order."""
-    half = grid.n // 2
     shifted = np.fft.fftshift(u_hat)  # rows/cols now ordered -n/2 .. n/2-1
-    del half
     return shifted.ravel()
 
 
@@ -173,9 +191,8 @@ def convolve(grid, u, w):
     """Periodic convolution (w * u)(x) = h^2 sum_y w(x - y) u(y), spectral."""
     u = grid.check_field(u)
     w = grid.check_field(w)
-    return grid.cell_measure * np.real(
-        np.fft.ifft2(np.fft.fft2(u) * np.fft.fft2(w))
-    )
+    return grid.cell_measure * np.fft.irfft2(
+        np.fft.rfft2(u) * np.fft.rfft2(w), s=(grid.n, grid.n))
 
 
 def dirac(grid, x0):

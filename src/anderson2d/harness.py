@@ -20,7 +20,7 @@ import numpy as np
 from . import grid as tg
 from . import potentials, spectral, variational, choquard
 from .noise import RNG_ALGORITHM, sample_white_noise, mollify
-from .operator import AndersonOperator
+from .operator import AndersonOperator, green_band
 from .version import __version__
 
 COMMANDS = ("sample-noise", "spectrum", "kato-check", "diagnose-heat",
@@ -63,6 +63,18 @@ class RunConfig:
             raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         if self.tol <= 0:
             raise ConfigError(f"tol: must be positive, got {self.tol}")
+        grid = tg.TorusGrid(self.n)
+        if self.command == "kato-check":
+            bad = [r for r in self.sweep_r if not grid.h < r < 1]
+            if bad:
+                raise ConfigError(f"sweep_r: radii must lie in (h, 1) = "
+                                  f"({grid.h:.6g}, 1) at n={self.n}, got {bad}")
+        if self.command == "diagnose-heat":
+            d_min, d_max = green_band(grid)
+            if d_min > d_max:
+                raise ConfigError(
+                    f"n: the Green band [4h, {d_max}] = [{d_min:.6g}, {d_max}] "
+                    f"is empty at n={self.n}; diagnose-heat needs 4h <= {d_max}")
         return self
 
     def to_json(self):
@@ -88,6 +100,8 @@ class RunManifest:
     wall_clock_s: float
     timings: dict = field(default_factory=dict)
     checksums: dict = field(default_factory=dict)
+    # partial results (e.g. fewer fountain levels than requested)
+    warnings: list = field(default_factory=list)
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -150,6 +164,7 @@ def run(config):
     grid = tg.TorusGrid(config.n)
     files = []
     timings = {}
+    warnings = []
 
     def clock(name, fn):
         t = time.perf_counter()
@@ -225,11 +240,16 @@ def run(config):
         results = clock("solve", lambda: variational.fountain_solve(
             problem, config.count, tol=config.tol, seed=config.seed))
         _solution_frame(grid, results, outdir, files)
-        files.append(_write_json({
+        summary = {
             "requested": config.count,
             "found": len(results),
             "phi": [r.phi for r in results],
-        }, outdir / "summary.json"))
+        }
+        if len(results) < config.count:
+            summary["warning"] = (f"requested {config.count} solutions, "
+                                  f"found {len(results)} distinct levels")
+            warnings.append(summary["warning"])
+        files.append(_write_json(summary, outdir / "summary.json"))
     elif cmd == "solve-choquard":
         xi = sample_white_noise(grid, config.seed)
         op = AndersonOperator(grid, xi)
@@ -264,6 +284,7 @@ def run(config):
         wall_clock_s=time.perf_counter() - t0,
         timings=timings,
         checksums={str(Path(f).name): _sha256(f) for f in files},
+        warnings=warnings,
     )
     (outdir / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest

@@ -7,7 +7,8 @@ Green function used throughout.
 
 Every grid size runs the same matrix-free path: H is applied as the FFT
 Laplacian plus a diagonal, and the one preconditioner is (-Delta + sigma)^{-1}
-applied by FFT.  Eigenpairs come from block LOBPCG, shifted solves from
+applied by FFT.  Both use real FFTs (rfft2/irfft2) and the grid's cached
+half-spectrum symbol.  Eigenpairs come from block LOBPCG, shifted solves from
 preconditioned CG, and the semigroup from a Chebyshev expansion.  Each
 solve checks its true residual and raises SolverError when it misses.
 """
@@ -28,8 +29,10 @@ class SolverError(RuntimeError):
 
 
 def laplacian_apply(grid, u):
-    """Spectral Laplacian: multiplier -(k1^2 + k2^2)."""
-    return np.real(np.fft.ifft2(grid.lap_multiplier * np.fft.fft2(u)))
+    """Spectral Laplacian: multiplier -(k1^2 + k2^2), by real FFT."""
+    u_hat = np.fft.rfft2(u)
+    u_hat *= grid.lap_multiplier_half
+    return np.fft.irfft2(u_hat, s=(grid.n, grid.n))
 
 
 def flat_operator(grid, apply):
@@ -41,9 +44,16 @@ def flat_operator(grid, apply):
 
 
 def fft_preconditioner(grid, sigma):
-    """(-Delta + sigma)^{-1}, sigma > 0, applied by FFT."""
-    sym = -grid.lap_multiplier + sigma
-    return flat_operator(grid, lambda u: np.real(np.fft.ifft2(np.fft.fft2(u) / sym)))
+    """(-Delta + sigma)^{-1}, sigma > 0, applied by real FFT."""
+    inv_sym = 1.0 / (sigma - grid.lap_multiplier_half)
+    shape = (grid.n, grid.n)
+
+    def apply(u):
+        u_hat = np.fft.rfft2(u)
+        u_hat *= inv_sym
+        return np.fft.irfft2(u_hat, s=shape)
+
+    return flat_operator(grid, apply)
 
 
 def chebyshev_heat_coefficients(z):
@@ -61,6 +71,11 @@ def chebyshev_heat_coefficients(z):
     coeff = np.real(np.fft.fft(np.exp(z * (np.cos(theta) - 1.0))))[:size // 2] / size
     small = np.nonzero(np.abs(coeff) < 1e-14 * coeff[0])[0]
     return coeff[:small[0]] if len(small) else coeff
+
+
+def green_band(grid):
+    """Default distance band [4h, 0.3] of AndersonOperator.green_log_ratio."""
+    return 4 * grid.h, 0.3
 
 
 class AndersonOperator:
@@ -281,19 +296,21 @@ class AndersonOperator:
             "negative_sites": negative_sites,
         }
 
-    def green_log_ratio(self, sources=None, d_min=None, d_max=0.3):
+    def green_log_ratio(self, sources=None, d_min=None, d_max=None):
         """Range of G(x, y) / |ln d(x, y)| over a distance band.
 
         Desk-scale check of the two-sided log comparison for the Green
-        function; returns (low, high) over sampled source points.
+        function; returns (low, high) over sampled source points.  The
+        band defaults to green_band(grid).
         """
         grid = self.grid
         if sources is None:
             step = max(grid.n // 4, 1)
             sources = [(i, j) for i in range(0, grid.n, step)
                        for j in range(0, grid.n, step)][:4]
-        if d_min is None:
-            d_min = 4 * grid.h
+        default_min, default_max = green_band(grid)
+        d_min = default_min if d_min is None else d_min
+        d_max = default_max if d_max is None else d_max
         lo, hi = np.inf, -np.inf
         for x0 in sources:
             G = self.green_function(x0)

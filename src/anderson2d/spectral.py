@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .grid import geodesic_dist_field, inner_l2
+from .grid import convolve, geodesic_dist_field, inner_l2
 from .potentials import Potential
 
 
@@ -62,8 +62,7 @@ def kato_modulus_log(grid, a, r):
     kernel[0, 0] = abs(np.log(grid.h / 2.0))
     kernel *= mask
     # value(x) = h^2 sum_y kernel(x - y) |a(y)|: circular convolution
-    conv = np.real(np.fft.ifft2(np.fft.fft2(kernel) * np.fft.fft2(np.abs(a))))
-    return float(grid.cell_measure * conv.max())
+    return float(convolve(grid, np.abs(a), kernel).max())
 
 
 def kato_modulus_heat(op, a, T, n_nodes=16):

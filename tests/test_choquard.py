@@ -180,6 +180,32 @@ def test_selfdual_minimize_monotone_to_zero(grid16):
     assert all(x >= y - 1e-14 for x, y in zip(Is, Is[1:]))
 
 
+def test_selfdual_minimize_evaluates_each_point_once(grid16, monkeypatch):
+    # one solve_a per line-search trial, one per descent direction and one
+    # for the start point; no point is evaluated twice, nor once more at
+    # the end
+    prob = zero_choquard(grid16)
+    points, solves = [], []
+    gradient = a2.choquard._selfdual_gradient
+    solve_a = ChoquardProblem.solve_a
+
+    def counted_gradient(prob, u):
+        points.append(np.array(u, copy=True))
+        return gradient(prob, u)
+
+    def counted_solve(self, rhs):
+        solves.append(1)
+        return solve_a(self, rhs)
+
+    monkeypatch.setattr(a2.choquard, "_selfdual_gradient", counted_gradient)
+    monkeypatch.setattr(ChoquardProblem, "solve_a", counted_solve)
+    res = a2.selfdual_minimize(prob, init=np.ones((16, 16)), tol=1e-6)
+    assert res.converged and res.iterations > 0
+    trials = len(points) - 1
+    assert len(solves) == 1 + trials + res.iterations
+    assert len({p.tobytes() for p in points}) == len(points)
+
+
 def test_selfdual_minimize_seeded(grid8):
     prob = seeded_choquard(grid8, 49)
     rng = np.random.default_rng(31)

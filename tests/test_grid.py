@@ -19,6 +19,19 @@ def test_grid_basic_invariants():
         TorusGrid(-4)
 
 
+def test_lap_multiplier_is_cached_and_read_only(grid16):
+    g = grid16
+    sym = g.lap_multiplier
+    assert g.lap_multiplier is sym
+    assert np.array_equal(sym, -(g.k1**2 + g.k2**2))
+    assert np.array_equal(g.lap_multiplier_half, sym[:, :g.n // 2 + 1])
+    for arr in (sym, g.lap_multiplier_half):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert np.array_equal(TorusGrid(16).lap_multiplier, sym)
+
+
 def test_inner_l2_values(grid16):
     g = grid16
     one = np.ones((g.n, g.n))

@@ -38,6 +38,27 @@ def test_config_validation():
     assert RunConfig(command="spectrum").validate() is not None
 
 
+def test_config_rejects_kato_radius_not_above_spacing(tmp_path, capsys):
+    # at n = 32, h = 0.196: the default sweep reaches r = 0.1
+    with pytest.raises(ConfigError, match="sweep_r"):
+        RunConfig(command="kato-check", n=32).validate()
+    RunConfig(command="kato-check", n=32, sweep_r=(0.8, 0.4)).validate()
+    code = cli.main(["kato-check", "--n", "32", "--sweep", "r=0.4,0.1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "sweep_r" in capsys.readouterr().err
+
+
+def test_config_rejects_empty_green_band(tmp_path, capsys):
+    # the Green band [4h, 0.3] is empty for every n < 84
+    with pytest.raises(ConfigError, match="Green band"):
+        RunConfig(command="diagnose-heat", n=82).validate()
+    RunConfig(command="diagnose-heat", n=84).validate()
+    code = cli.main(["diagnose-heat", "--n", "32", "--out", str(tmp_path)])
+    assert code == 2
+    assert "Green band" in capsys.readouterr().err
+
+
 def test_emit_plotdata_format(tmp_path):
     path = emit_plotdata([(1, 1.0 / 3.0), (2, np.pi)],
                          tmp_path / "t.csv", ["k", "v"])
@@ -122,6 +143,28 @@ def test_solve_choquard_run(tmp_path):
     res = json.loads((tmp_path / "result_0.json").read_text())
     assert res["converged"]
     assert res["selfdual_value"] <= 1e-12
+
+
+@pytest.mark.parametrize("found", [0, 1])
+def test_solve_fountain_partial_result(tmp_path, monkeypatch, capsys, found):
+    def short(problem, n_solutions, **kwargs):
+        g = problem.grid
+        return [a2.SolveResult(u=np.ones((g.n, g.n)), phi=1.0 + i,
+                               residual_l2=0.0, grad_e_norm=0.0, iterations=1,
+                               method="fountain", converged=True)
+                for i in range(found)]
+    monkeypatch.setattr(a2.variational, "fountain_solve", short)
+    code = cli.main(["solve-fountain", "--n", "8", "--count", "3",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    assert "partial result" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["found"] == found
+    assert summary["warning"] == (f"requested 3 solutions, "
+                                  f"found {found} distinct levels")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"] == [summary["warning"]]
+    assert "summary.json" in manifest["checksums"]
 
 
 def test_run_reproducibility_across_directories(tmp_path):

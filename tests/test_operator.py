@@ -22,6 +22,25 @@ def dense_h_oracle(grid, xi):
     return np.stack(cols, axis=1)
 
 
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_real_fft_layer_matches_complex_oracle(n):
+    g = TorusGrid(n)
+    u, w = random_field(g, 1), random_field(g, 2)
+    lap = g.lap_multiplier
+    sigma = 3.5
+
+    def close(got, expect):
+        return np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    assert close(a2.laplacian_apply(g, u),
+                 np.real(np.fft.ifft2(lap * np.fft.fft2(u))))
+    precond = a2.operator.fft_preconditioner(g, sigma)
+    assert close(precond.matvec(u.ravel()).reshape(n, n),
+                 np.real(np.fft.ifft2(np.fft.fft2(u) / (sigma - lap))))
+    assert close(a2.convolve(g, u, w), g.cell_measure * np.real(
+        np.fft.ifft2(np.fft.fft2(u) * np.fft.fft2(w))))
+
+
 def test_apply_h_zero_noise(grid16, op16_zero):
     g = grid16
     c1 = np.cos(g.x1 + 0 * g.x2)
