@@ -9,12 +9,12 @@ primary formula here; I >= 0 always and I = 0 exactly at weak solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import convolve, inner_l2, norm_l2, norm_lp
+from .grid import convolve_spectrum, inner_l2, norm_l2, norm_lp
 from .potentials import Potential
 from .variational import SolveResult
 
@@ -29,6 +29,8 @@ class ChoquardProblem:
     and the convolution exponents (p, q).
 
     Optional pointwise maps (fmap, gmap) generalize |u|^p and |u|^{q-2}u.
+    The kernel's half-spectrum rfft2(w) is computed once, read-only, as
+    w_hat.
     """
 
     op: object
@@ -40,17 +42,21 @@ class ChoquardProblem:
     gmap: Optional[Callable] = None
     fmap_prime: Optional[Callable] = None
     gmap_prime: Optional[Callable] = None
+    w_hat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = self.op.grid
         a = grid.check_field(self.a.field)
-        grid.check_field(self.w)
+        w = grid.check_field(self.w)
         if np.min(a) < 0:
             raise ValueError("Choquard potential must be non-negative")
-        if np.max(self.w) > 0:
+        if np.max(w) > 0:
             raise ValueError("interaction kernel must be non-positive")
         if self.p < 1 or self.q <= 1:
             raise ValueError(f"need p >= 1 and q > 1, got p={self.p}, q={self.q}")
+        w_hat = np.fft.rfft2(w)
+        w_hat.flags.writeable = False
+        object.__setattr__(self, "w_hat", w_hat)
 
     @property
     def grid(self):
@@ -80,7 +86,7 @@ class ChoquardProblem:
 def lambda_apply(prob, u):
     """Lambda u = -(w * |u|^p) |u|^{q-2} u (pointwise after convolution)."""
     u = prob.grid.check_field(u)
-    return -convolve(prob.grid, prob._f(u), prob.w) * prob._g(u)
+    return -convolve_spectrum(prob.grid, prob._f(u), prob.w_hat) * prob._g(u)
 
 
 def lambda_bound_check(prob, u, v):
@@ -146,7 +152,7 @@ def _selfdual_gradient(prob, u):
     """
     grid = prob.grid
     u = grid.check_field(u)
-    conv_f = convolve(grid, prob._f(u), prob.w)
+    conv_f = convolve_spectrum(grid, prob._f(u), prob.w_hat)
     g = prob._g(u)
     r = prob.apply_a(u) - conv_f * g  # A u + Lambda u
     z = prob.solve_a(r) if np.any(r) else np.zeros_like(u)
@@ -162,8 +168,8 @@ def _selfdual_gradient(prob, u):
             fp = np.where(u != 0, prob.p * np.abs(u)**(prob.p - 2.0) * u, 0.0)
             gp = np.where(u != 0,
                           (prob.q - 1.0) * np.abs(u)**(prob.q - 2.0), 0.0)
-    w_rev = np.roll(prob.w[::-1, ::-1], 1, axis=(0, 1))  # w~ (x) = w(-x)
-    term1 = -fp * convolve(grid, g * z, w_rev)
+    # w~(x) = w(-x) has half-spectrum conj(w_hat) since w is real
+    term1 = -fp * convolve_spectrum(grid, g * z, np.conj(prob.w_hat))
     term2 = -conv_f * gp * z
     grad = r + term1 + term2
     return I, r, z, grad

@@ -189,10 +189,14 @@ def canonical_coefficients(grid, u_hat):
 
 def convolve(grid, u, w):
     """Periodic convolution (w * u)(x) = h^2 sum_y w(x - y) u(y), spectral."""
+    return convolve_spectrum(grid, u, np.fft.rfft2(grid.check_field(w)))
+
+
+def convolve_spectrum(grid, u, w_hat):
+    """convolve(grid, u, w) from w's half-spectrum w_hat = rfft2(w)."""
     u = grid.check_field(u)
-    w = grid.check_field(w)
     return grid.cell_measure * np.fft.irfft2(
-        np.fft.rfft2(u) * np.fft.rfft2(w), s=(grid.n, grid.n))
+        np.fft.rfft2(u) * w_hat, s=(grid.n, grid.n))
 
 
 def dirac(grid, x0):

@@ -69,7 +69,17 @@ class RunConfig:
             if bad:
                 raise ConfigError(f"sweep_r: radii must lie in (h, 1) = "
                                   f"({grid.h:.6g}, 1) at n={self.n}, got {bad}")
+            bad = [T for T in self.sweep_T if not 0 < T <= 1]
+            if bad:
+                raise ConfigError(f"sweep_T: horizons must lie in (0, 1], got {bad}")
+            bad = [lam for lam in self.sweep_lambda if not lam >= 0]
+            if bad:
+                raise ConfigError(f"sweep_lambda: shifts must be >= 0, got {bad}")
         if self.command == "diagnose-heat":
+            bad = [t for t in self.times if not 0 < t <= 1]
+            if bad:
+                raise ConfigError(f"times: heat diagnostic times must lie in "
+                                  f"(0, 1], got {bad}")
             d_min, d_max = green_band(grid)
             if d_min > d_max:
                 raise ConfigError(

@@ -10,7 +10,7 @@ import pytest
 
 import anderson2d as a2
 from anderson2d import ChoquardProblem
-from anderson2d.choquard import quadratic_value
+from anderson2d.choquard import _selfdual_gradient, quadratic_value
 from anderson2d.potentials import Potential, constant
 
 from conftest import random_field
@@ -168,6 +168,21 @@ def test_selfdual_vanishes_only_on_solutions(grid16):
 
 # ---------------------------------------------------------------------------
 # minimization
+
+
+def test_gradient_cached_kernel_matches_rolled_kernel(grid16):
+    # a non-symmetric kernel, so w(-x) != w(x)
+    prob = seeded_choquard(grid16, 31)
+    u = random_field(grid16, 35)
+    assert np.max(np.abs(prob.w - prob.w[::-1, ::-1])) > 0.1
+    _, r, z, grad = _selfdual_gradient(prob, u)
+    w_rev = np.roll(prob.w[::-1, ::-1], 1, axis=(0, 1))
+    fp = prob.p * np.abs(u) ** (prob.p - 2.0) * u
+    gp = (prob.q - 1.0) * np.abs(u) ** (prob.q - 2.0)
+    g = np.abs(u) ** (prob.q - 2.0) * u
+    expect = (r - fp * a2.convolve(grid16, g * z, w_rev)
+              - a2.convolve(grid16, np.abs(u) ** prob.p, prob.w) * gp * z)
+    assert np.linalg.norm(grad - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_selfdual_minimize_monotone_to_zero(grid16):

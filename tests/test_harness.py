@@ -59,6 +59,45 @@ def test_config_rejects_empty_green_band(tmp_path, capsys):
     assert "Green band" in capsys.readouterr().err
 
 
+def test_config_rejects_kato_horizon_outside_unit_interval(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="sweep_T"):
+        RunConfig(command="kato-check", n=16, sweep_r=(0.8,),
+                  sweep_T=(0.5, 2.0)).validate()
+    with pytest.raises(ConfigError, match="sweep_T"):
+        RunConfig(command="kato-check", n=16, sweep_r=(0.8,),
+                  sweep_T=(0.0,)).validate()
+    RunConfig(command="kato-check", n=16, sweep_r=(0.8,),
+              sweep_T=(1.0,)).validate()
+    code = cli.main(["kato-check", "--n", "16", "--sweep", "r=0.8;T=2",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "sweep_T" in capsys.readouterr().err
+
+
+def test_config_rejects_heat_times_outside_unit_interval(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="times"):
+        RunConfig(command="diagnose-heat", n=96, times=(0.05, 2.0)).validate()
+    with pytest.raises(ConfigError, match="times"):
+        RunConfig(command="diagnose-heat", n=96, times=(-0.1,)).validate()
+    RunConfig(command="diagnose-heat", n=96, times=(1.0,)).validate()
+    code = cli.main(["diagnose-heat", "--n", "96", "--times", "2",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "times" in capsys.readouterr().err
+
+
+def test_config_rejects_negative_resolvent_shift(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="sweep_lambda"):
+        RunConfig(command="kato-check", n=16, sweep_r=(0.8,),
+                  sweep_lambda=(1.0, -0.5)).validate()
+    RunConfig(command="kato-check", n=16, sweep_r=(0.8,),
+              sweep_lambda=(0.0,)).validate()
+    code = cli.main(["kato-check", "--n", "16", "--sweep", "r=0.8;lambda=-1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "sweep_lambda" in capsys.readouterr().err
+
+
 def test_emit_plotdata_format(tmp_path):
     path = emit_plotdata([(1, 1.0 / 3.0), (2, np.pi)],
                          tmp_path / "t.csv", ["k", "v"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import anderson2d as a2
 from anderson2d import AndersonOperator, TorusGrid
@@ -121,12 +122,50 @@ def test_resolvent_solve(grid16, op16_zero, grid8, op8):
     with pytest.raises(ValueError):
         op8.resolvent_solve(-1.0, rhs)
 
+    # a field shift: the dense oracle, zero rhs gives zeros, and one
+    # negative entry is refused
+    lam = 1.0 + a2.potentials.smooth_random(grid8, 3, 0.5).field
+    dense = np.linalg.solve(-mat + np.diag(op8.c + lam.ravel()), rhs.ravel())
+    sol = op8.resolvent_solve(lam, rhs, rtol=1e-12)
+    assert np.linalg.norm(sol.ravel() - dense) <= 1e-10 * np.linalg.norm(dense)
+    sol = op8.resolvent_solve(lam, grid8.zeros())
+    assert sol.shape == (8, 8) and not np.any(sol)
+    lam[2, 3] = -1e-3
+    with pytest.raises(ValueError, match="shift"):
+        op8.resolvent_solve(lam, rhs)
+
 
 def test_resolvent_is_inverse(grid8, op8):
     rhs = random_field(grid8, 6)
     u = op8.resolvent_solve(2.5, rhs)
     back = op8.apply_minus_hc(u, 2.5)
     assert np.max(np.abs(back - rhs)) <= 1e-8 * np.max(np.abs(rhs))
+
+
+def test_resolvent_matches_scipy_cg_with_half_the_ffts(monkeypatch):
+    g = TorusGrid(64)
+    op = AndersonOperator(g, a2.sample_white_noise(g, 5))
+    lam = 1.0 + a2.potentials.smooth_random(g, 6, 0.5).field
+    rhs = random_field(g, 8)
+    calls = []
+    rfft2 = np.fft.rfft2
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counting)
+    sol = op.resolvent_solve(lam, rhs, rtol=1e-12)
+    fused = len(calls)
+    # the unfused preconditioned CG, as a test-only oracle
+    calls.clear()
+    A = a2.operator.flat_operator(g, lambda u: op.apply_minus_hc(u, lam))
+    M = a2.operator.fft_preconditioner(g, op.c + float(np.mean(lam)))
+    ref, info = spla.cg(A, rhs.ravel(), rtol=1e-12, atol=0.0, M=M,
+                        maxiter=10 * 64 * 64)
+    assert info == 0
+    assert np.linalg.norm(sol.ravel() - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert fused <= len(calls) // 2 + 2
 
 
 def test_heat_semigroup(grid16, op16_zero, op8, grid8):
