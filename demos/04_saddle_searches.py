@@ -1,9 +1,11 @@
 """Critical points of Phi(u) = 1/2 ||u||_E^2 + int (a u^2/2 - F(u)).
 
 Critical points solve the semilinear equation (-H_c + a) u = f(u).  The
-searches below find saddle points: a mountain-pass (least positive level)
-solution via an elastic-string path deformation, and several further
-solutions via deflated Newton and higher-direction path searches.
+searches below find saddle points: a mountain-pass solution by descent on
+the Nehari manifold from the lowest eigenfield (a local minimum there, whose
+level bounds the least positive level from above), and several further
+solutions by Nehari descent from higher eigenfields, with deflated Newton
+as the fallback.
 """
 
 import numpy as np
@@ -37,7 +39,7 @@ print(f"linking witness: min Phi on the r1-sphere {geo['min_phi_sphere']:.4f}"
 
 # trace audit in the Palais-Smale spirit
 audit = a2.ps_diagnostics(mp.trace)
-print(f"trace audit: last path gradient {audit['last_grad']:.1e}, "
+print(f"trace audit: last descent gradient {audit['last_grad']:.1e}, "
       f"iterates bounded = {audit['iterates_bounded']}")
 
 # --- multiplicity ----------------------------------------------------------

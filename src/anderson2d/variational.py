@@ -3,10 +3,12 @@
 The functional is Phi(u) = 1/2 ||u||_E^2 + int (1/2 a u^2 - F(., u)); its
 critical points are the weak solutions.  Three searches are provided: a
 Picard fixed-point baseline (no convergence guarantee, diagnostic only),
-a path-deformation mountain-pass search for the case with no non-positive
-form modes (m = -1), and a deflated Newton search seeded along eigenfield
-directions for multi-solution sweeps.  Acceptance of a candidate is
-residual-based and method-agnostic.
+descent on the Nehari manifold for the case with no non-positive form
+modes (m = -1), and deflated Newton seeded along eigenfield directions.
+The mountain-pass search returns a local minimum of Phi on the Nehari
+manifold, reached from e_0; its level bounds the least positive level
+from above but is not the least in general (see `mountain_pass_solve`).
+Acceptance of a candidate is residual-based and method-agnostic.
 """
 
 from __future__ import annotations
@@ -338,18 +340,30 @@ def _result_from(problem, u, iterations, method, trace=None, seed=None,
 
 
 def _initial_amplitude(problem, v):
-    """Scale t for a start direction v: stationarity of t -> Phi(t v) along
-    the cubic-like profile, via a short 1-D search."""
+    """Nehari scale of a direction v: the root t of psi(t) = Q(v) t -
+    <f(t v), v>, bracketed on a geometric scan and bisected to rounding
+    (1 when the scan finds no sign change)."""
     op, grid = problem.op, problem.grid
     quad = op.energy_norm(v)**2 + inner_l2(grid, problem.a.field * v, v)
+
+    def psi(t):
+        return quad * t - inner_l2(grid, problem.nl.f(t * v), v)
+
     ts = np.geomspace(1e-2, 1e3, 60)
-    vals = np.array([quad * t - inner_l2(grid, problem.nl.f(t * v), v)
-                     for t in ts])
+    vals = np.array([psi(t) for t in ts])
     sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_change) == 0:
         return 1.0
     i = sign_change[0]
-    return float(0.5 * (ts[i] + ts[i + 1]))
+    lo, hi, lo_positive = ts[i], ts[i + 1], vals[i] > 0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if (psi(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return float(mid)
 
 
 def _negative_endpoint(problem, v):
@@ -383,55 +397,58 @@ def mountain_pass_geometry(problem, spectrum, r1=1.0, n_samples=100, seed=0):
             "phi_endpoint": float(energy(problem, e_neg))}
 
 
-def _path_mountain_pass(problem, direction, path_points, step, tol, max_iter,
-                        trace):
-    """Elastic-string saddle search from 0 to a negative-energy endpoint.
+def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
+    """Projected descent of Phi on the Nehari manifold {Phi'(u) u = 0}.
 
-    The endpoint is taken along `direction`.  Repeatedly displaces the
-    path's energy maximizer along the negative Riesz gradient (with
-    backtracking), re-tensioning the string, until the gradient at the
-    maximizer is small enough to hand off to Newton.
+    With m = -1 each ray t v meets the manifold once, at t(v) =
+    `_initial_amplitude` (Szulkin & Weth 2010).  A step moves along the
+    E-gradient g, v = u - s g, and projects back, u <- t(v) v; s is the
+    Barzilai-Borwein quotient ||du||_E^2 / <du, dr>_{L^2}, halved until Phi
+    falls by the Armijo amount.  Stops at ||g||_E <= sqrt(tol), for Newton
+    to polish.  Returns (u, iterations), unconverged if the cap is hit or
+    a line search fails; appends (phi, ||g||_E, ||u||_E) to ``trace``.
     """
     op, grid = problem.op, problem.grid
-    endpoint = _negative_endpoint(problem, direction / op.energy_norm(direction))
-    ts = np.linspace(0.0, 1.0, path_points)
-    path = [t * endpoint for t in ts]
-    coarse_tol = max(np.sqrt(tol), 100 * tol)
-    best = None
-    phis = [energy(problem, p) for p in path]
+    u = _initial_amplitude(problem, v0) * v0
+    phi = energy(problem, u)
+    r, g = energy_gradient(problem, u)
+    s = 1.0
     for it in range(max_iter):
-        j = int(np.argmax(phis[1:-1])) + 1
-        r, g = energy_gradient(problem, path[j])
         gn = grad_e_norm(problem, r, g)
-        trace.append((phis[j], gn, op.energy_norm(path[j])))
-        best = path[j]
-        if gn <= coarse_tol:
-            return best, it
-        s = step
-        for _ in range(20):
-            cand = path[j] - s * g
+        if trace is not None:
+            trace.append((phi, gn, op.energy_norm(u)))
+        if gn <= np.sqrt(tol):
+            return u, it
+        for _ in range(30):
+            v = u - s * g
+            cand = _initial_amplitude(problem, v) * v
             phi_cand = energy(problem, cand)
-            if phi_cand < phis[j]:
-                path[j], phis[j] = cand, phi_cand
+            if phi_cand <= phi - 1e-4 * s * gn * gn:
                 break
             s *= 0.5
-        # re-tension: replace neighbours by averages to keep the string taut
-        for i in (j - 1, j + 1):
-            if 0 < i < len(path) - 1:
-                path[i] = 0.5 * (path[i - 1] + path[i + 1])
-                phis[i] = energy(problem, path[i])
-    return best, max_iter
+        else:
+            return u, it
+        r_cand, g = energy_gradient(problem, cand)
+        du = cand - u
+        curvature = inner_l2(grid, du, r_cand - r)
+        if curvature > 0:
+            s = op.energy_norm(du)**2 / curvature
+        u, phi, r = cand, phi_cand, r_cand
+    return u, max_iter
 
 
-def mountain_pass_solve(problem, spectrum=None, r1=1.0, path_points=41,
-                        step=0.1, tol=1e-6, max_iter=5000, seed=0):
+def mountain_pass_solve(problem, spectrum=None, r1=1.0, tol=1e-6,
+                        max_iter=5000, seed=0):
     """Saddle search for a nontrivial critical point with Phi(u) > 0.
 
-    With no non-positive form modes (m = -1) a path-deformation search
-    localizes the pass and Newton polishes it; with m >= 0 a deflated
-    Newton search starts from the first positive-mode eigenfield.  The
-    returned point always satisfies the relative residual test; zero is
-    rejected (||u||_{L^2} >= 1e-3).
+    With m = -1, Nehari descent from e_0 (at most ``max_iter`` steps) and
+    a Newton polish return a local minimum of Phi on the Nehari manifold.
+    Its level bounds the least positive level from above but is not the
+    least in general: with zero noise on 16^2, e_0 gives u = 1 at pi^2,
+    yet descent from a Gaussian bump reaches a solution at Phi = 5.7515.
+    With m >= 0, or if that fails, deflated Newton starts from the first
+    positive-mode eigenfield.  The returned point passes the relative
+    residual test; zero is rejected (||u||_{L^2} >= 1e-3).
     """
     op, grid = problem.op, problem.grid
     if spectrum is None:
@@ -456,9 +473,8 @@ def mountain_pass_solve(problem, spectrum=None, r1=1.0, path_points=41,
         return res
 
     if m == -1:
-        u_coarse, its = _path_mountain_pass(problem, spectrum.eigenfields[0],
-                                            path_points, step, tol, max_iter,
-                                            trace)
+        u_coarse, its = nehari_minimize(problem, spectrum.eigenfields[0],
+                                        tol, max_iter, trace)
         try:
             u, its2 = newton_solve(problem, u_coarse, tol=tol, deflate=[grid.zeros()])
             res = accept(u, its + its2, "mountain-pass")
@@ -491,19 +507,20 @@ def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
                    max_iter=100, rho=0.5, seed=0, max_starts=60):
     """Multi-solution sweep for odd nonlinearities.
 
-    Deflated Newton searches start along successive eigenfield directions
-    (several amplitudes and seeded perturbations), deflating against the
-    +/- pair of every accepted solution.  As in the fountain theorem, what
-    is counted are critical levels: the results have strictly increasing,
-    pairwise distinct energies Phi, and are pairwise distinct in the
-    sign-identified L^2 distance.  A converged candidate whose Phi lies
-    within a relative 1e-8 of an accepted level is rejected; on symmetric
-    problems these are symmetry images (e.g. torus translations and
-    reflections) that deflation against +/- u cannot separate.  Every
-    returned result lists them in ``info["rejected_same_level"]`` as
-    ``{"phi", "start_direction", "matched_phi"}`` entries.  If fewer than
-    ``n_solutions`` levels are found, every result carries an
-    ``info["warning"]``.
+    With m = -1, a Nehari phase runs `nehari_minimize` and a Newton polish
+    from each eigenfield direction in turn.  Deflated Newton searches then
+    start along successive eigenfield directions (several amplitudes and
+    seeded perturbations), deflating against the +/- pair of every
+    accepted solution.  As in the fountain theorem, what is counted are
+    critical levels: the results have strictly increasing, pairwise
+    distinct energies Phi, and are pairwise distinct in the sign-identified
+    L^2 distance.  A converged candidate whose Phi lies within a relative
+    1e-8 of an accepted level is rejected; on symmetric problems these are
+    symmetry images (e.g. torus translations and reflections) that
+    deflation against +/- u cannot separate.  Every returned result lists
+    them in ``info["rejected_same_level"]`` as ``{"phi", "start_direction",
+    "matched_phi"}`` entries.  If fewer than ``n_solutions`` levels are
+    found, every result carries an ``info["warning"]``.
     """
     if not problem.nl.odd:
         raise ValueError("fountain search requires an odd nonlinearity")
@@ -542,16 +559,18 @@ def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
         found.append(res)
         return True
 
-    # phase 1: cheap deflated-Newton starts along eigenfield directions
-    starts = []
-    for j in range(max(m + 1, 0), len(spectrum.eigenfields)):
-        starts.append((j, 1.0, 0.0))
-    for j in range(max(m + 1, 0), len(spectrum.eigenfields)):
-        starts.append((j, 2.0, 0.0))
-        starts.append((j, 0.5, 0.05))
-    for j, amp, pert in starts:
-        if len(found) >= n_solutions:
-            break
+    if m == -1:
+        for j, e in enumerate(spectrum.eigenfields):
+            if len(found) >= n_solutions:
+                break
+            u0, its = nehari_minimize(problem, e, tol=tol)
+            try:
+                u, its2 = newton_solve(problem, u0, tol=tol, max_iter=max_iter)
+            except SolverError:
+                continue
+            try_accept(u, its + its2, j)
+
+    def deflated_newton(j, amp, pert):
         e = spectrum.eigenfields[min(j, len(spectrum.eigenfields) - 1)]
         v = e / norm_l2(grid, e)
         u0 = amp * _initial_amplitude(problem, v) * v
@@ -563,43 +582,24 @@ def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
             u, its = newton_solve(problem, u0, tol=tol, max_iter=max_iter,
                                   deflate=roots, rho=rho)
         except SolverError:
-            continue
+            return
         try_accept(u, its, j)
 
-    # phase 2: elastic-string searches along successive eigen-directions;
-    # more expensive, but robust where the Newton basins are tiny (e.g.
-    # near-singular Jacobians along split degenerate branches)
-    for j in range(max(m + 1, 0), len(spectrum.eigenfields)):
+    # deflated-Newton starts along eigenfield directions, then a randomized
+    # perturbation sweep as a last resort
+    first = max(m + 1, 0)
+    directions = range(first, len(spectrum.eigenfields))
+    starts = [(j, 1.0, 0.0) for j in directions]
+    starts += [s for j in directions for s in ((j, 2.0, 0.0), (j, 0.5, 0.05))]
+    for start in starts:
         if len(found) >= n_solutions:
             break
-        u0, _ = _path_mountain_pass(problem, spectrum.eigenfields[j],
-                                    path_points=41, step=0.1, tol=tol,
-                                    max_iter=3000, trace=[])
-        try:
-            u, its = newton_solve(problem, u0, tol=tol, max_iter=max_iter)
-        except SolverError:
-            continue
-        try_accept(u, its, j)
-
-    # phase 3: randomized perturbation sweep as a last resort
-    attempt = 0
-    while len(found) < n_solutions and attempt < max_starts:
-        j = max(m + 1, 0) + attempt % max(len(spectrum.eigenfields) -
-                                          max(m + 1, 0), 1)
-        amp, pert = float(rng.uniform(0.3, 3.0)), 0.1
-        attempt += 1
-        e = spectrum.eigenfields[min(j, len(spectrum.eigenfields) - 1)]
-        v = e / norm_l2(grid, e)
-        u0 = amp * _initial_amplitude(problem, v) * v
-        w = rng.standard_normal((grid.n, grid.n))
-        u0 = u0 + pert * norm_l2(grid, u0) * w / max(norm_l2(grid, w), 1e-30)
-        roots = [grid.zeros()] + [r.u for r in found]
-        try:
-            u, its = newton_solve(problem, u0, tol=tol, max_iter=max_iter,
-                                  deflate=roots, rho=rho)
-        except SolverError:
-            continue
-        try_accept(u, its, j)
+        deflated_newton(*start)
+    for attempt in range(max_starts):
+        if len(found) >= n_solutions:
+            break
+        j = first + attempt % max(len(directions), 1)
+        deflated_newton(j, float(rng.uniform(0.3, 3.0)), 0.1)
     found.sort(key=lambda r: r.phi)
     for r in found:
         r.info["rejected_same_level"] = [dict(d) for d in rejected]

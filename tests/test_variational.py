@@ -10,11 +10,12 @@ import pytest
 
 import anderson2d as a2
 from anderson2d import Nonlinearity, Potential
-from anderson2d.potentials import constant
+from anderson2d.potentials import constant, spike
 from anderson2d.variational import (
     _deflation_factor,
     _initial_amplitude,
     _negative_endpoint,
+    nehari_minimize,
 )
 
 from conftest import random_field
@@ -203,7 +204,9 @@ def test_mountain_pass_zero_noise_recovers_ground_state(grid16):
     res = a2.mountain_pass_solve(prob, tol=1e-10, seed=0)
     assert res.residual_l2 <= 1e-10 * (1 + a2.norm_l2(grid16, res.u))
     assert res.phi > 0
-    # the least-energy saddle of (-Delta + 1) u = u^3 is u = +/- 1
+    # descent from e_0 = const stays on the constant ray and ends at u = +/- 1;
+    # a local minimum on the Nehari manifold, not the least level (see
+    # test_zero_noise_bump_lies_below_constant)
     assert abs(res.phi - np.pi**2) <= 1e-6
     assert res.info["m"] == -1
 
@@ -223,6 +226,47 @@ def test_odd_symmetry_of_roots(grid16):
     res = a2.mountain_pass_solve(prob, tol=1e-10, seed=0)
     r_neg = a2.residual(prob, -res.u)
     assert a2.norm_l2(grid16, r_neg) <= 1e-9 * (1 + a2.norm_l2(grid16, res.u))
+
+
+def _criterion5_problem():
+    g = a2.TorusGrid(32)
+    op = a2.AndersonOperator(g, a2.sample_white_noise(g, seed=11))
+    return a2.AndersonProblem(op=op, a=spike(g, 2.0), nl=a2.pow3())
+
+
+def test_nehari_minimize_projection_and_stability():
+    prob = _criterion5_problem()
+    g = prob.grid
+    spec = a2.eigendecompose(prob.op, prob.a, 8)
+    assert spec.m == -1
+    rng = np.random.default_rng(5)
+    for e in spec.eigenfields[:3]:
+        w = rng.standard_normal((g.n, g.n))
+        levels = []
+        for start in (e, e + 1e-10 * a2.norm_l2(g, e) * w / a2.norm_l2(g, w)):
+            u, _ = nehari_minimize(prob, start, tol=1e-10)
+            # the last iterate lies on the Nehari manifold: <Phi'(u), u> = 0
+            quad = (prob.op.energy_norm(u)**2
+                    + a2.inner_l2(g, prob.a.field * u, u))
+            assert abs(a2.inner_l2(g, a2.residual(prob, u), u)) <= 1e-10 * quad
+            u, _ = a2.newton_solve(prob, u, tol=1e-10)
+            levels.append(a2.energy(prob, u))
+        assert levels[0] > 0
+        assert abs(levels[1] - levels[0]) <= 1e-9 * levels[0]
+
+
+def test_zero_noise_bump_lies_below_constant(grid16):
+    # a genuine solution below the constant one's pi^2: the level reached
+    # from e_0 is not the least positive level in general
+    prob = zero_problem(grid16)
+    bump = np.exp(-((grid16.x1 - np.pi)**2 + (grid16.x2 - np.pi)**2))
+    u, _ = nehari_minimize(prob, bump, tol=1e-9)
+    u, _ = a2.newton_solve(prob, u, tol=1e-9)
+    assert a2.norm_l2(grid16, a2.residual(prob, u)) <= 1e-9 * (
+        1 + a2.norm_l2(grid16, u))
+    phi = a2.energy(prob, u)
+    assert abs(phi - 5.751543) <= 1e-6
+    assert phi < np.pi**2
 
 
 def test_fountain_finds_increasing_energies(grid16):
@@ -273,6 +317,7 @@ def test_initial_amplitude_on_constant_direction(grid16):
     prob = zero_problem(grid16)
     t = _initial_amplitude(prob, np.ones((16, 16)))
     assert 0.5 <= t <= 2.0
+    assert abs(t - 1.0) <= 1e-12
     endpoint = _negative_endpoint(prob, np.ones((16, 16)) / (2 * np.pi))
     assert a2.energy(prob, endpoint) < 0
 
