@@ -63,6 +63,11 @@ class RunConfig:
             raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         if self.tol <= 0:
             raise ConfigError(f"tol: must be positive, got {self.tol}")
+        if self.command in ("spectrum", "solve-fountain") and self.count < 1:
+            raise ConfigError(f"count: must be at least 1, got {self.count}")
+        if self.command == "spectrum" and self.count > self.n * self.n:
+            raise ConfigError(f"count: must not exceed n^2 = {self.n * self.n} "
+                              f"eigenpairs, got {self.count}")
         grid = tg.TorusGrid(self.n)
         if self.command == "kato-check":
             bad = [r for r in self.sweep_r if not grid.h < r < 1]

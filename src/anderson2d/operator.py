@@ -143,21 +143,27 @@ class AndersonOperator:
 
     # -- eigenpairs ---------------------------------------------------------
 
-    def lowest_eigenpairs(self, apply_a, k, sigma, apply_b=None):
+    def lowest_eigenpairs(self, apply_a, k, sigma, apply_b=None, start=None):
         """Lowest k eigenpairs of the symmetric pencil (A, B), B = I by default.
 
         apply_a and apply_b map fields to fields; B must be positive
-        definite.  Block LOBPCG runs from a seeded random start with the
-        preconditioner (-Delta + sigma)^{-1}.  Returns ascending eigenvalues
-        and the eigenvectors as Euclidean-unit columns of flattened fields.
-        Raises SolverError unless every pair's true residual satisfies
-        ||A x - mu B x|| <= 1e-8 (1 + |mu|) ||B x||.
+        definite.  Block LOBPCG runs with the preconditioner
+        (-Delta + sigma)^{-1} from ``start``, an (n^2, k) block of flattened
+        fields, or from a seeded random block when none is given.  A start
+        must not lie in an invariant subspace that misses the lowest pairs:
+        LOBPCG would stop there on a wrong pair whose residual is small.
+        Returns ascending eigenvalues and the eigenvectors as Euclidean-unit
+        columns of flattened fields.  Raises SolverError unless every pair's
+        true residual satisfies ||A x - mu B x|| <= 1e-8 (1 + |mu|) ||B x||.
         """
         grid = self.grid
         n = grid.n
         A = flat_operator(grid, apply_a)
         B = None if apply_b is None else flat_operator(grid, apply_b)
-        X = np.random.default_rng(0).standard_normal((n * n, k))
+        if start is None:
+            X = np.random.default_rng(0).standard_normal((n * n, k))
+        else:
+            X = np.array(start, dtype=float).reshape(n * n, k)
         with warnings.catch_warnings():
             # non-convergence is judged by the residual check below
             warnings.simplefilter("ignore", UserWarning)

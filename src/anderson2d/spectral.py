@@ -160,10 +160,12 @@ def _canonicalize_clusters(grid, vals, vecs, tol=1e-9):
 
 
 def eigendecompose(op, a, count):
-    """Lowest `count` eigenpairs of the symmetric form -H_c + a.
+    """Lowest eigenpairs of the symmetric form -H_c + a.
 
     More pairs are computed while all of them are non-positive, so that
-    the index m is placed by a positive eigenvalue.
+    the index m is placed by a positive eigenvalue.  The spectrum keeps
+    max(count, m + 2) pairs, at most n^2: besides the lowest `count` it
+    always holds e_{m+1}, the pair that places m and starts `gap_delta`.
     """
     grid = op.grid
     a = grid.check_field(_as_field(a))
@@ -179,9 +181,10 @@ def eigendecompose(op, a, count):
         if m < k - 1 or k >= n * n:
             break
         k = min(2 * k, n * n)
-    vals_out = vals[:count]
+    keep = min(max(count, m + 2), len(vals))
+    vals_out = vals[:keep]
     # Euclidean-unit columns; rescale to L^2
-    fields = [vecs[:, i].reshape(n, n) / grid.h for i in range(count)]
+    fields = [vecs[:, i].reshape(n, n) / grid.h for i in range(keep)]
     fields = _canonicalize_clusters(grid, vals_out, fields)
     res = np.array([
         np.sqrt(max(inner_l2(grid, r, r), 0.0))
@@ -200,6 +203,12 @@ def gap_delta(op, a, spectrum):
     onto E_{>m}, which -H_c + a leaves invariant, delta is the lowest
     eigenvalue of the pencil (P A P + s (I - P), P B P + (I - P)); the
     filler s lies above every quotient, which is at most 1 + max(a).
+
+    LOBPCG starts from e_{m+1}, which lies in E_{>m} and is usually close
+    to the minimiser, plus a 1e-2 share of a seeded random field projected
+    onto E_{>m}.  That share is needed: e_{m+1} is an eigenvector of A, and
+    when a is constant it is also a pencil eigenvector, with the largest
+    quotient if a > 0, so a start from e_{m+1} alone would stop there.
     """
     grid = op.grid
     a = grid.check_field(_as_field(a))
@@ -214,6 +223,10 @@ def gap_delta(op, a, spectrum):
     def project(u):
         return u - (E @ (E.T @ u.ravel())).reshape(n, n)
 
+    w = project(np.random.default_rng(0).standard_normal((n, n)))
+    e = spectrum.eigenfields[m + 1]
+    start = e / np.linalg.norm(e) + 1e-2 * w / np.linalg.norm(w)
+
     def apply_a(u):
         pu = project(u)
         return project(op.apply_minus_hc(pu) + a * pu) + filler * (u - pu)
@@ -222,7 +235,7 @@ def gap_delta(op, a, spectrum):
         pu = project(u)
         return project(op.apply_minus_hc(pu)) + (u - pu)
 
-    vals, _ = op.lowest_eigenpairs(apply_a, 1, apply_b=apply_b,
+    vals, _ = op.lowest_eigenpairs(apply_a, 1, apply_b=apply_b, start=start,
                                    sigma=max(op.c + float(np.mean(a)), 0.0) + 1.0)
     delta = float(vals[0])
     if delta <= 0:

@@ -341,29 +341,47 @@ def _result_from(problem, u, iterations, method, trace=None, seed=None,
 
 def _initial_amplitude(problem, v):
     """Nehari scale of a direction v: the root t of psi(t) = Q(v) t -
-    <f(t v), v>, bracketed on a geometric scan and bisected to rounding
-    (1 when the scan finds no sign change)."""
+    <f(t v), v>, bracketed by the first sign change on a geometric scan
+    and found to rounding by Newton steps on psi, psi'(t) = Q(v) -
+    <f'(t v) v, v>, that fall back to bisection when they leave the
+    bracket (1 when the scan finds no sign change).  The scan evaluates
+    psi in stacked chunks of 15 points and stops at the first chunk that
+    shows the sign change."""
     op, grid = problem.op, problem.grid
+    nl = problem.nl
     quad = op.energy_norm(v)**2 + inner_l2(grid, problem.a.field * v, v)
-
-    def psi(t):
-        return quad * t - inner_l2(grid, problem.nl.f(t * v), v)
-
     ts = np.geomspace(1e-2, 1e3, 60)
-    vals = np.array([psi(t) for t in ts])
-    sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
+    vals = np.empty(0)
+    for k in range(0, len(ts), 15):
+        chunk = ts[k:k + 15]
+        vals = np.append(vals, quad * chunk - grid.cell_measure * np.sum(
+            nl.f(chunk[:, None, None] * v) * v, axis=(1, 2)))
+        sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
+        if len(sign_change):
+            break
+    else:
         return 1.0
     i = sign_change[0]
     lo, hi, lo_positive = ts[i], ts[i + 1], vals[i] > 0
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if (psi(mid) > 0) == lo_positive:
-            lo = mid
+    t = 0.5 * (lo + hi)
+    for _ in range(100):
+        tv = t * v
+        psi = quad * t - inner_l2(grid, nl.f(tv), v)
+        if psi == 0:
+            break
+        if (psi > 0) == lo_positive:
+            lo = t
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return float(mid)
+            hi = t
+        dpsi = quad - inner_l2(grid, nl.dfdz(tv) * v, v)
+        t_new = t - psi / dpsi if dpsi != 0 else np.nan
+        if not lo < t_new < hi:  # also when nan
+            t_new = 0.5 * (lo + hi)
+        done = abs(t_new - t) <= 1e-14 * t
+        t = t_new
+        if done:
+            break
+    return float(t)
 
 
 def _negative_endpoint(problem, v):

@@ -98,6 +98,36 @@ def test_config_rejects_negative_resolvent_shift(tmp_path, capsys):
     assert "sweep_lambda" in capsys.readouterr().err
 
 
+def test_config_rejects_spectrum_count_below_one(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="count"):
+        RunConfig(command="spectrum", n=8, count=0).validate()
+    RunConfig(command="spectrum", n=8, count=1).validate()
+    code = cli.main(["spectrum", "--n", "8", "--count", "0",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "count" in capsys.readouterr().err
+
+
+def test_config_rejects_fountain_count_below_one(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="count"):
+        RunConfig(command="solve-fountain", n=8, count=0).validate()
+    code = cli.main(["solve-fountain", "--n", "8", "--count", "0",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "count" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_config_rejects_spectrum_count_above_dimension(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="count"):
+        RunConfig(command="spectrum", n=8, count=65).validate()
+    RunConfig(command="spectrum", n=8, count=64).validate()
+    code = cli.main(["spectrum", "--n", "8", "--count", "65",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "count" in capsys.readouterr().err
+
+
 def test_emit_plotdata_format(tmp_path):
     path = emit_plotdata([(1, 1.0 / 3.0), (2, np.pi)],
                          tmp_path / "t.csv", ["k", "v"])
@@ -150,6 +180,18 @@ def test_spectrum_run(tmp_path):
     assert rep["delta"] > 0
     assert isinstance(rep["m"], int)
     assert max(rep["residuals"]) <= 1e-8
+
+
+def test_spectrum_run_keeps_the_pair_that_places_m(tmp_path):
+    # count 1 below a spectrum with m >= 1 non-positive pairs
+    code = cli.main(["spectrum", "--n", "8", "--seed", "1", "--count", "1",
+                     "--potential", "builtin:const:-8", "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "spectrum.json").read_text())
+    assert rep["m"] >= 1
+    assert len(rep["eigenvalues"]) == rep["m"] + 2
+    assert rep["eigenvalues"][-1] > 0
+    assert rep["delta"] > 0
 
 
 def test_kato_check_run(tmp_path):

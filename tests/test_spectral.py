@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import anderson2d as a2
 from anderson2d import AndersonOperator, TorusGrid
@@ -100,9 +101,11 @@ def test_eigendecompose_zero_noise(n):
     assert spec.m == -1
 
     shifted = a2.eigendecompose(op, constant(op.grid, -3.0), 8)
-    assert np.allclose(shifted.eigenvalues, [-2, -1, -1, -1, -1, 0, 0, 0],
+    # mu = -2, -1 (x4), 0 (x4): nine non-positive values, so the spectrum
+    # keeps m + 2 = 10 pairs, through the first positive one
+    assert np.allclose(shifted.eigenvalues, [-2, -1, -1, -1, -1, 0, 0, 0, 0, 2],
                        atol=1e-10)
-    assert shifted.m == 8  # mu = -2, -1 (x4), 0 (x4): nine non-positive values
+    assert shifted.m == 8
 
 
 def test_eigendecompose_matches_dense_oracle(grid8, op8):
@@ -187,22 +190,79 @@ def test_gap_delta_converges_at_n64():
     assert 0.0 < delta <= spec.eigenvalues[3]
 
 
+def _dense_pencil_gap(op, a):
+    """(m, delta) from dense matrices: the lowest eigenvalue of the pencil
+    (A, B) restricted to the span of A's positive eigenvectors."""
+    n2 = op.grid.n ** 2
+    mat = dense_h_oracle(op.grid, op.xi)
+    B = -mat + op.c * np.eye(n2)
+    A = B + np.diag(a.field.ravel())
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    m = int(np.searchsorted(vals, 0.0, side="right")) - 1
+    V = vecs[:, m + 1:]
+    pencil = scipy.linalg.eigh(V.T @ A @ V, V.T @ B @ V, eigvals_only=True)
+    return m, pencil[0]
+
+
 def test_gap_delta_matches_dense_pencil(grid8, op8):
     a = Potential(field=random_field(grid8, 13, scale=2.0), declared_p=2.0)
     spec = a2.eigendecompose(op8, a, 8)
     delta = a2.gap_delta(op8, a, spec)
-
-    mat = dense_h_oracle(grid8, op8.xi)
-    B = -mat + op8.c * np.eye(64)
-    A = B + np.diag(a.field.ravel())
-    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
-    m = int(np.searchsorted(vals, 0.0, side="right")) - 1
+    m, oracle = _dense_pencil_gap(op8, a)
     assert m == spec.m
-    V = vecs[:, m + 1:]
-    import scipy.linalg
-    pencil = scipy.linalg.eigh(V.T @ A @ V, V.T @ B @ V, eigvals_only=True)
-    assert delta == pytest.approx(pencil[0], rel=1e-8)
+    assert delta == pytest.approx(oracle, rel=1e-8)
     assert spec.delta == delta
+
+
+def test_gap_delta_warm_start_is_not_trapped(op16_zero, grid16):
+    # with a = 2 the start e_{m+1} = e_0 = const is a pencil eigenvector with
+    # the largest quotient, 1 + 2/1 = 3; the gap is 1 + 2/(1 + |k|^2_max)
+    a = constant(grid16, 2.0)
+    spec = a2.eigendecompose(op16_zero, a, 6)
+    assert a2.gap_delta(op16_zero, a, spec) == pytest.approx(1.0 + 2.0 / 129.0,
+                                                              abs=1e-10)
+
+
+@pytest.mark.parametrize("level", [2.0, 0.5, -0.5])
+def test_gap_delta_constant_potential_matches_dense_pencil(grid8, op8, level):
+    a = constant(grid8, level)
+    spec = a2.eigendecompose(op8, a, 6)
+    m, oracle = _dense_pencil_gap(op8, a)
+    assert m == spec.m
+    assert a2.gap_delta(op8, a, spec) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_gap_delta_halves_the_operator_products(monkeypatch):
+    # the test_gap_delta_converges_at_n64 problem: a start from random noise
+    # took 238 products of -H_c, the start from e_{m+1} takes 86
+    g = TorusGrid(64)
+    op = AndersonOperator(g, a2.sample_white_noise(g, 11))
+    a = Potential(field=constant(g, -3.0).field + smooth_random(g, 5).field
+                  + spike(g, 2.0).field, declared_p=1.5)
+    spec = a2.eigendecompose(op, a, 8)
+    calls = []
+    apply = op.apply_minus_hc
+
+    def counted(u, lam=0.0):
+        calls.append(1)
+        return apply(u, lam)
+
+    monkeypatch.setattr(op, "apply_minus_hc", counted)
+    a2.gap_delta(op, a, spec)
+    assert len(calls) <= 119
+
+
+def test_gap_delta_from_a_one_pair_request(grid8, op8):
+    # count = 1 with m >= 1: the spectrum still holds e_{m+1}
+    a = Potential(field=random_field(grid8, 13, scale=2.0) - 2.0,
+                  declared_p=2.0)
+    spec = a2.eigendecompose(op8, a, 1)
+    assert spec.m >= 1
+    assert len(spec.eigenvalues) == spec.m + 2
+    assert spec.eigenvalues[-1] > 0
+    m, oracle = _dense_pencil_gap(op8, a)
+    assert m == spec.m
+    assert a2.gap_delta(op8, a, spec) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_kato_coherence_sweeps():

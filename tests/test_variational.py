@@ -322,6 +322,44 @@ def test_initial_amplitude_on_constant_direction(grid16):
     assert a2.energy(prob, endpoint) < 0
 
 
+def _bisected_scale(problem, v):
+    """Oracle: the root of psi(t) = Q(v) t - <f(t v), v> in the first
+    sign-change bracket of the 60-point scan, bisected to rounding."""
+    grid = problem.grid
+    quad = (problem.op.energy_norm(v)**2
+            + a2.inner_l2(grid, problem.a.field * v, v))
+
+    def psi(t):
+        return quad * t - a2.inner_l2(grid, problem.nl.f(t * v), v)
+
+    ts = np.geomspace(1e-2, 1e3, 60)
+    vals = np.array([psi(t) for t in ts])
+    i = np.where(np.diff(np.sign(vals)) != 0)[0][0]
+    lo, hi, lo_positive = ts[i], ts[i + 1], vals[i] > 0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if (psi(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+@pytest.mark.parametrize("nl", [
+    a2.pow3(), a2.pow_ell(4),
+    a2.tabulated(np.linspace(-40, 40, 40001), np.linspace(-40, 40, 40001)**3,
+                 ell=4.0, gamma=3.9, k=1.0, odd=True),
+], ids=["pow3", "pow4", "tabulated"])
+def test_initial_amplitude_matches_bisection(grid16, nl):
+    op = a2.AndersonOperator(grid16, a2.sample_white_noise(grid16, 5))
+    prob = a2.AndersonProblem(op=op, a=spike(grid16, 2.0), nl=nl)
+    for seed in range(4):
+        v = random_field(grid16, seed, scale=0.2 * 3.0**seed)
+        oracle = _bisected_scale(prob, v)
+        assert _initial_amplitude(prob, v) == pytest.approx(oracle, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Palais-Smale diagnostics
 
