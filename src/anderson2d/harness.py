@@ -63,6 +63,8 @@ class RunConfig:
             raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         if self.tol <= 0:
             raise ConfigError(f"tol: must be positive, got {self.tol}")
+        if self.max_iter < 0:
+            raise ConfigError(f"max_iter: must be non-negative, got {self.max_iter}")
         if self.command in ("spectrum", "solve-fountain") and self.count < 1:
             raise ConfigError(f"count: must be at least 1, got {self.count}")
         if self.command == "spectrum" and self.count > self.n * self.n:
@@ -277,13 +279,23 @@ def run(config):
         fpath = outdir / "solution_0.f64"
         tg.save_field(grid, res.u, fpath)
         files.append(fpath)
-        files.append(_write_json({
+        result = {
             "selfdual_value": res.info["selfdual_value"],
             "residual_l2": res.residual_l2,
             "trivial": res.info["trivial"],
             "iterations": res.iterations,
+            "line_search_trials": res.info["line_search_trials"],
             "converged": res.converged,
-        }, outdir / "result_0.json"))
+        }
+        if not res.converged:
+            stop = ("max_iter reached" if res.iterations >= config.max_iter
+                    else "line search found no decrease")
+            result["warning"] = (
+                f"self-dual descent not converged after {res.iterations} "
+                f"iterations ({stop}): I = {res.phi:.3e}, "
+                f"residual {res.residual_l2:.3e}")
+            warnings.append(result["warning"])
+        files.append(_write_json(result, outdir / "result_0.json"))
         files.append(emit_plotdata(
             [(k, t[0], t[1]) for k, t in enumerate(res.trace)],
             outdir / "trace_0.csv", ["iter", "selfdual_value", "residual_l2"]))

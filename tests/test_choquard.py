@@ -221,6 +221,62 @@ def test_selfdual_minimize_evaluates_each_point_once(grid16, monkeypatch):
     assert len({p.tobytes() for p in points}) == len(points)
 
 
+def test_selfdual_minimize_line_search_remembers_its_step(grid8, monkeypatch):
+    # the solve-choquard CLI problem (a = 1, w = -1, noise seed 4, --init
+    # random:3); restarting every search at s = 1 and halving took 56 solves
+    op = a2.AndersonOperator(grid8, a2.sample_white_noise(grid8, seed=4))
+    prob = ChoquardProblem(op=op, a=constant(grid8, 1.0), w=-np.ones((8, 8)))
+    init = np.random.default_rng(3).standard_normal((8, 8))
+    points, solves = [], []
+    gradient = a2.choquard._selfdual_gradient
+    solve_a = ChoquardProblem.solve_a
+
+    def counted_gradient(prob, u):
+        points.append(1)
+        return gradient(prob, u)
+
+    def counted_solve(self, rhs):
+        solves.append(1)
+        return solve_a(self, rhs)
+
+    monkeypatch.setattr(a2.choquard, "_selfdual_gradient", counted_gradient)
+    monkeypatch.setattr(ChoquardProblem, "solve_a", counted_solve)
+    res = a2.selfdual_minimize(prob, init=init, tol=1e-6)
+    assert res.converged
+    assert res.info["line_search_trials"] == len(points) - 1
+    assert len(solves) <= 35
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_selfdual_minimize_counts_steps_at_max_iter(grid16, k):
+    prob = zero_choquard(grid16)
+    res = a2.selfdual_minimize(prob, init=np.ones((16, 16)), tol=1e-6,
+                               max_iter=k)
+    assert res.converged is False
+    assert res.iterations == k == len(res.trace) - 1
+    assert res.trace[-1][0] == res.info["selfdual_value"]
+
+
+def test_selfdual_minimize_stops_when_line_search_fails(grid8, monkeypatch):
+    # every trial point reads I = inf: no curvature to fit, so each trial
+    # halves s, and the search gives up after its 40 trials
+    prob = zero_choquard(grid8)
+    gradient = a2.choquard._selfdual_gradient
+    start = gradient(prob, np.ones((8, 8)))
+    calls = []
+
+    def no_decrease(prob, u):
+        calls.append(1)
+        return start if len(calls) == 1 else (np.inf,) + start[1:]
+
+    monkeypatch.setattr(a2.choquard, "_selfdual_gradient", no_decrease)
+    res = a2.selfdual_minimize(prob, init=np.ones((8, 8)), tol=1e-6)
+    assert res.converged is False
+    assert res.iterations == 0 and len(res.trace) == 1
+    assert res.info["line_search_trials"] == 40 == len(calls) - 1
+    assert np.array_equal(res.u, np.ones((8, 8)))
+
+
 def test_selfdual_minimize_seeded(grid8):
     prob = seeded_choquard(grid8, 49)
     rng = np.random.default_rng(31)

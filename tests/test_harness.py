@@ -35,6 +35,8 @@ def test_config_validation():
         RunConfig(command="spectrum", n=7).validate()
     with pytest.raises(ConfigError, match="tol"):
         RunConfig(command="spectrum", tol=0.0).validate()
+    with pytest.raises(ConfigError, match="max_iter"):
+        RunConfig(command="solve-choquard", max_iter=-1).validate()
     assert RunConfig(command="spectrum").validate() is not None
 
 
@@ -224,6 +226,23 @@ def test_solve_choquard_run(tmp_path):
     res = json.loads((tmp_path / "result_0.json").read_text())
     assert res["converged"]
     assert res["selfdual_value"] <= 1e-12
+    assert res["line_search_trials"] >= res["iterations"] > 0
+    assert "warning" not in res
+
+
+def test_solve_choquard_unconverged_exit_code(tmp_path, capsys):
+    code = cli.main(["solve-choquard", "--n", "16", "--init", "one",
+                     "--max-iter", "1", "--out", str(tmp_path)])
+    assert code == 3
+    assert "partial result" in capsys.readouterr().err
+    res = json.loads((tmp_path / "result_0.json").read_text())
+    assert res["converged"] is False
+    assert res["iterations"] == 1
+    assert res["line_search_trials"] >= 1
+    assert "max_iter reached" in res["warning"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"] == [res["warning"]]
+    assert "result_0.json" in manifest["checksums"]
 
 
 @pytest.mark.parametrize("found", [0, 1])
