@@ -65,8 +65,11 @@ def build_parser():
         p.add_argument("--nonlinearity", default=None,
                        help="pow3 or pow:<ell>")
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
+        p.add_argument("--max-iter", type=int, default=None,
+                       help="Nehari-descent step cap")
+        if name == "solve-fountain":
+            p.add_argument("--count", type=int, default=None,
+                           help="number of distinct levels to find")
 
     p = sub.add_parser("solve-choquard", help="self-dual Choquard minimizer")
     common(p)

@@ -206,7 +206,7 @@ def run(config):
         files.append(_write_json(report, outdir / "report.json"))
     elif cmd == "spectrum":
         xi = sample_white_noise(grid, config.seed)
-        op = AndersonOperator(grid, xi)
+        op = clock("operator", lambda: AndersonOperator(grid, xi))
         a = potentials.from_spec(grid, config.potential)
         spec_obj = clock("eigendecompose",
                          lambda: spectral.eigendecompose(op, a, config.count))
@@ -219,14 +219,15 @@ def run(config):
         }, outdir / "spectrum.json"))
     elif cmd == "kato-check":
         xi = sample_white_noise(grid, config.seed)
-        op = AndersonOperator(grid, xi)
+        op = clock("operator", lambda: AndersonOperator(grid, xi))
         a = potentials.from_spec(grid, config.potential)
-        rows_r = [(r, spectral.kato_modulus_log(grid, a, r))
-                  for r in config.sweep_r]
-        rows_T = [(T, spectral.kato_modulus_heat(op, a, T))
-                  for T in config.sweep_T]
-        rows_l = [(lam, spectral.resolvent_sup_norm(op, a, lam))
-                  for lam in config.sweep_lambda]
+        rows_r = clock("kato_log", lambda: [
+            (r, spectral.kato_modulus_log(grid, a, r)) for r in config.sweep_r])
+        rows_T = clock("kato_heat", lambda: [
+            (T, spectral.kato_modulus_heat(op, a, T)) for T in config.sweep_T])
+        rows_l = clock("resolvent", lambda: [
+            (lam, spectral.resolvent_sup_norm(op, a, lam))
+            for lam in config.sweep_lambda])
         files.append(emit_plotdata(rows_r, outdir / "kato_log.csv",
                                    ["r", "modulus"]))
         files.append(emit_plotdata(rows_T, outdir / "kato_heat.csv",
@@ -240,7 +241,7 @@ def run(config):
         }, outdir / "report.json"))
     elif cmd == "solve-mp":
         xi = sample_white_noise(grid, config.seed)
-        op = AndersonOperator(grid, xi)
+        op = clock("operator", lambda: AndersonOperator(grid, xi))
         a = potentials.from_spec(grid, config.potential)
         nl = variational.from_spec(config.nonlinearity)
         problem = variational.AndersonProblem(op, a, nl)
@@ -250,12 +251,13 @@ def run(config):
         _solution_frame(grid, [res], outdir, files)
     elif cmd == "solve-fountain":
         xi = sample_white_noise(grid, config.seed)
-        op = AndersonOperator(grid, xi)
+        op = clock("operator", lambda: AndersonOperator(grid, xi))
         a = potentials.from_spec(grid, config.potential)
         nl = variational.from_spec(config.nonlinearity)
         problem = variational.AndersonProblem(op, a, nl)
         results = clock("solve", lambda: variational.fountain_solve(
-            problem, config.count, tol=config.tol, seed=config.seed))
+            problem, config.count, tol=config.tol, max_iter=config.max_iter,
+            seed=config.seed))
         _solution_frame(grid, results, outdir, files)
         summary = {
             "requested": config.count,
@@ -269,7 +271,7 @@ def run(config):
         files.append(_write_json(summary, outdir / "summary.json"))
     elif cmd == "solve-choquard":
         xi = sample_white_noise(grid, config.seed)
-        op = AndersonOperator(grid, xi)
+        op = clock("operator", lambda: AndersonOperator(grid, xi))
         a = potentials.from_spec(grid, config.a_spec)
         w = _kernel_from_spec(grid, config.w_spec)
         prob = choquard.ChoquardProblem(op, a, w, p=config.p, q=config.q)

@@ -4,7 +4,8 @@ The functional is Phi(u) = 1/2 ||u||_E^2 + int (1/2 a u^2 - F(., u)); its
 critical points are the weak solutions.  Three searches are provided: a
 Picard fixed-point baseline (no convergence guarantee, diagnostic only),
 descent on the Nehari manifold for the case with no non-positive form
-modes (m = -1), and deflated Newton seeded along eigenfield directions.
+modes (m = -1), and deflated Newton, whose step is a scaled MINRES solve,
+seeded along eigenfield directions.
 The mountain-pass search returns a local minimum of Phi on the Nehari
 manifold, reached from e_0; its level bounds the least positive level
 from above but is not the least in general (see `mountain_pass_solve`).
@@ -252,12 +253,11 @@ def picard_baseline(problem, u0=None, max_iter=200, tol=1e-10):
                        converged=False, trace=trace)
 
 
-def _deflation_factor(grid, u, roots, rho, with_grad=False):
-    """Multiplicative deflation penalty against +/- each root.
-
-    Within L^2 distance rho of a root the factor grows like 1/d^2 (shifted
-    so it is continuous, = 1 at distance rho); outside it is 1.
-    """
+def _deflation_factor(grid, u, roots, rho=0.5, with_grad=False):
+    """Multiplicative deflation penalty M against +/- each root (and the
+    nodal gradient of log M when ``with_grad``).  Within L^2 distance rho
+    of a root the factor grows like 1/d^2 (shifted so it is continuous,
+    = 1 at distance rho); outside it is 1."""
     M = 1.0
     grad = np.zeros_like(u)
     for root in roots:
@@ -265,40 +265,49 @@ def _deflation_factor(grid, u, roots, rho, with_grad=False):
             diff = u - s * root
             d2 = max(inner_l2(grid, diff, diff), 1e-30)
             if d2 < rho * rho:
-                M *= 1.0 + 1.0 / d2 - 1.0 / (rho * rho)
-                if with_grad:
-                    # d/du of the factor, divided by the factor itself later
-                    grad += (-2.0 * grid.cell_measure / (d2 * d2)) * diff \
-                        / (1.0 + 1.0 / d2 - 1.0 / (rho * rho))
-    if with_grad:
-        return M, grad
-    return M
+                factor = 1.0 + 1.0 / d2 - 1.0 / (rho * rho)
+                M *= factor
+                grad += (-2.0 * grid.cell_measure / (d2 * d2 * factor)) * diff
+    return (M, grad) if with_grad else M
 
 
-def _newton_step(problem, u, G, M, Mgrad):
-    """LGMRES step for the deflated system G(u) = M(u) R(u)."""
-    op = problem.op
+def _newton_step(problem, u, R, Mgrad):
+    """Newton step for the deflated system M(u) R(u) = 0: the undeflated
+    step y, J y = -R with J = -H_c + a - f'(u), times 1 / (1 - <grad(log
+    M), y>), since the deflated Jacobian M (J + R grad(log M)^T) is M J
+    plus a rank-one term (Farrell, Birkisson & Funke 2015).  MINRES solves
+    the symmetric system, preconditioned by (-Delta + c)^{-1}, to rtol 1e-8
+    within 10 n^2 iterations.  SolverError is raised unless it converged
+    with ||J y + R|| <= 0.1 ||R|| (an inexact-Newton forcing bound) and the
+    scalar is finite."""
+    op, grid = problem.op, problem.grid
     dfu = problem.nl.dfdz(u)
 
     def jacobian(w):
-        Jw = op.apply_minus_hc(w) + (problem.a.field - dfu) * w
-        # Mgrad holds grad(log M), so J_G = M J + (M R) grad(log M)^T
-        return M * Jw + G * float(np.sum(Mgrad * w))
+        return op.apply_minus_hc(w) + (problem.a.field - dfu) * w
 
-    A = flat_operator(problem.grid, jacobian)
-    precond = fft_preconditioner(problem.grid, op.c) * (1.0 / M)
-    step, info = spla.lgmres(A, -G.ravel(), M=precond, rtol=1e-8, atol=0.0,
-                             maxiter=200)
-    if info != 0:
-        raise SolverError(f"deflated Newton linear solve stalled (info={info})")
-    return step.reshape(G.shape)
+    y, info = spla.minres(flat_operator(grid, jacobian), -R.ravel(),
+                          M=fft_preconditioner(grid, op.c), rtol=1e-8,
+                          maxiter=10 * grid.n * grid.n)
+    y = y.reshape(R.shape)
+    res, r_norm = norm_l2(grid, jacobian(y) + R), norm_l2(grid, R)
+    if info != 0 or not res <= 0.1 * r_norm:
+        raise SolverError(f"Newton MINRES solve failed (info={info}): "
+                          f"residual {res:.3e} vs {r_norm:.3e}")
+    denom = 1.0 - float(np.sum(Mgrad * y))
+    if denom == 0.0 or not np.isfinite(denom):
+        raise SolverError(f"deflation scalar 1 / {denom} is not finite")
+    return y / denom
 
 
-def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=(), rho=0.5):
+def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=()):
     """Damped Newton on the (optionally deflated) residual system.
 
-    Returns (u, iterations) on success; raises SolverError / NotFoundError
-    otherwise.  Acceptance is on the *undeflated* relative residual.
+    Deflation multiplies R by `_deflation_factor` (radius 0.5) against
+    the roots in ``deflate``; `_newton_step` steps are backtracked on the
+    deflated residual norm.  Returns (u, iterations) on success; raises
+    SolverError otherwise.  Acceptance is on the *undeflated* relative
+    residual.
     """
     grid = problem.grid
     u = grid.check_field(u0).copy()
@@ -307,17 +316,14 @@ def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=(), rho=0.5):
         res = norm_l2(grid, R)
         if res <= tol * (1.0 + norm_l2(grid, u)):
             return u, it
-        M, Mgrad = _deflation_factor(grid, u, deflate, rho, with_grad=True)
-        G = M * R
-        step = _newton_step(problem, u, G, M, Mgrad)
-        # backtracking on the deflated residual norm
-        g0 = norm_l2(grid, G)
+        M, Mgrad = _deflation_factor(grid, u, deflate, with_grad=True)
+        step = _newton_step(problem, u, R, Mgrad)
         s = 1.0
         for _ in range(30):
             cand = u + s * step
-            Mc = _deflation_factor(grid, cand, deflate, rho)
+            Mc = _deflation_factor(grid, cand, deflate)
             gc = norm_l2(grid, Mc * residual(problem, cand))
-            if gc < (1.0 - 1e-4 * s) * g0:
+            if gc < (1.0 - 1e-4 * s) * M * res:
                 u = cand
                 break
             s *= 0.5
@@ -455,8 +461,27 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
     return u, max_iter
 
 
-def mountain_pass_solve(problem, spectrum=None, r1=1.0, tol=1e-6,
-                        max_iter=5000, seed=0):
+def _newton_from_direction(problem, spectrum, j, roots, tol, amp=1.0,
+                           pert=0.0, rng=None):
+    """Deflated Newton against ``roots`` from u0 = amp t(v) v, with v the
+    unit L^2 eigenfield j (the last one if j is past it) and t(v) its
+    Nehari scale, plus pert ||u0|| times a unit Gaussian field drawn from
+    ``rng`` when pert > 0.  Returns (u, iterations), or None on SolverError."""
+    grid = problem.grid
+    e = spectrum.eigenfields[min(j, len(spectrum.eigenfields) - 1)]
+    v = e / norm_l2(grid, e)
+    u0 = amp * _initial_amplitude(problem, v) * v
+    if pert > 0:
+        w = rng.standard_normal((grid.n, grid.n))
+        u0 = u0 + pert * norm_l2(grid, u0) * w / max(norm_l2(grid, w), 1e-30)
+    try:
+        return newton_solve(problem, u0, tol=tol, deflate=roots)
+    except SolverError:
+        return None
+
+
+def mountain_pass_solve(problem, spectrum=None, tol=1e-6, max_iter=5000,
+                        seed=0):
     """Saddle search for a nontrivial critical point with Phi(u) > 0.
 
     With m = -1, Nehari descent from e_0 (at most ``max_iter`` steps) and
@@ -464,9 +489,10 @@ def mountain_pass_solve(problem, spectrum=None, r1=1.0, tol=1e-6,
     Its level bounds the least positive level from above but is not the
     least in general: with zero noise on 16^2, e_0 gives u = 1 at pi^2,
     yet descent from a Gaussian bump reaches a solution at Phi = 5.7515.
-    With m >= 0, or if that fails, deflated Newton starts from the first
-    positive-mode eigenfield.  The returned point passes the relative
-    residual test; zero is rejected (||u||_{L^2} >= 1e-3).
+    With m >= 0, or if that fails, 10 `_newton_from_direction` starts
+    cycle through the first three positive-mode eigenfields, all but the
+    first perturbed by 5%.  The geometry witness uses the unit E-sphere.
+    The result passes the relative residual test and ||u||_{L^2} >= 1e-3.
     """
     op, grid = problem.op, problem.grid
     if spectrum is None:
@@ -478,17 +504,16 @@ def mountain_pass_solve(problem, spectrum=None, r1=1.0, tol=1e-6,
                                   count=min(spectrum.m + 8, grid.n * grid.n))
     m = spectrum.m
     trace = []
-    geometry = mountain_pass_geometry(problem, spectrum, r1=r1, seed=seed)
+    geometry = mountain_pass_geometry(problem, spectrum, seed=seed)
     rng = np.random.default_rng(seed)
 
     def accept(u, its, method):
         res = _result_from(problem, u, its, method, trace=trace, seed=seed,
                            info={"geometry": geometry, "m": m})
-        if res.residual_l2 > tol * (1.0 + norm_l2(grid, u)):
-            return None
-        if norm_l2(grid, u) < 1e-3 or res.phi <= 0:
-            return None
-        return res
+        size = norm_l2(grid, u)
+        ok = (res.residual_l2 <= tol * (1.0 + size) and size >= 1e-3
+              and res.phi > 0)
+        return res if ok else None
 
     if m == -1:
         u_coarse, its = nehari_minimize(problem, spectrum.eigenfields[0],
@@ -501,39 +526,32 @@ def mountain_pass_solve(problem, spectrum=None, r1=1.0, tol=1e-6,
         except SolverError:
             pass
         # fall through to eigen-direction Newton starts as a rescue
-    start_idx = max(m + 1, 0)
     for attempt in range(10):
-        idx = min(start_idx + attempt % 3, len(spectrum.eigenfields) - 1)
-        e = spectrum.eigenfields[idx]
-        v = e / norm_l2(grid, e)
-        u0 = _initial_amplitude(problem, v) * v
-        if attempt > 0:
-            pert = rng.standard_normal((grid.n, grid.n))
-            u0 = u0 + 0.05 * pert * norm_l2(grid, u0) / max(norm_l2(grid, pert), 1e-30)
-        try:
-            u, its = newton_solve(problem, u0, tol=tol,
-                                  deflate=[grid.zeros()])
-        except SolverError:
-            continue
-        res = accept(u, its, "deflated-newton")
-        if res is not None:
-            return res
+        start = _newton_from_direction(
+            problem, spectrum, max(m + 1, 0) + attempt % 3, [grid.zeros()],
+            tol, pert=0.05 if attempt > 0 else 0.0, rng=rng)
+        if start is not None:
+            res = accept(*start, "deflated-newton")
+            if res is not None:
+                return res
     raise NotFoundError("no nontrivial positive-energy critical point found")
 
 
 def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
-                   max_iter=100, rho=0.5, seed=0, max_starts=60):
+                   max_iter=5000, seed=0):
     """Multi-solution sweep for odd nonlinearities.
 
-    With m = -1, a Nehari phase runs `nehari_minimize` and a Newton polish
-    from each eigenfield direction in turn.  Deflated Newton searches then
-    start along successive eigenfield directions (several amplitudes and
-    seeded perturbations), deflating against the +/- pair of every
-    accepted solution.  As in the fountain theorem, what is counted are
-    critical levels: the results have strictly increasing, pairwise
-    distinct energies Phi, and are pairwise distinct in the sign-identified
-    L^2 distance.  A converged candidate whose Phi lies within a relative
-    1e-8 of an accepted level is rejected; on symmetric problems these are
+    With m = -1, a Nehari phase runs `nehari_minimize` (at most
+    ``max_iter`` steps) and a Newton polish from each eigenfield in turn.
+    `_newton_from_direction` starts follow, deflated against zero and the
+    +/- pair of every accepted solution: each eigenfield above the
+    non-positive block at amplitude 1, then at 2 and at 0.5 with a 5%
+    perturbation, then 60 seeded amplitudes in [0.3, 3] with a 10%
+    perturbation.  As in the fountain theorem, what is counted are critical
+    levels: the results have strictly increasing, pairwise distinct
+    energies Phi, and are pairwise distinct in the sign-identified L^2
+    distance.  A converged candidate whose Phi lies within a relative 1e-8
+    of an accepted level is rejected; on symmetric problems these are
     symmetry images (e.g. torus translations and reflections) that
     deflation against +/- u cannot separate.  Every returned result lists
     them in ``info["rejected_same_level"]`` as ``{"phi", "start_direction",
@@ -553,71 +571,52 @@ def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
     rejected: List[dict] = []
 
     def distinct(u):
-        if norm_l2(grid, u) < 1e-3:
-            return False
-        for r in found:
-            d = min(norm_l2(grid, u - r.u), norm_l2(grid, u + r.u))
-            if d <= 1e-2:
-                return False
-        return True
+        return norm_l2(grid, u) >= 1e-3 and all(
+            min(norm_l2(grid, u - r.u), norm_l2(grid, u + r.u)) > 1e-2
+            for r in found)
 
     def try_accept(u, its, j):
         if not distinct(u):
-            return False
+            return
         res = _result_from(problem, u, its, "fountain", seed=seed,
                            info={"start_direction": int(j)})
         if res.residual_l2 > tol * (1.0 + norm_l2(grid, u)):
-            return False
+            return
         for r in found:
             if abs(res.phi - r.phi) <= 1e-8 * max(1.0, abs(r.phi)):
                 rejected.append({"phi": float(res.phi),
                                  "start_direction": int(j),
                                  "matched_phi": float(r.phi)})
-                return False
+                return
         found.append(res)
-        return True
 
     if m == -1:
         for j, e in enumerate(spectrum.eigenfields):
             if len(found) >= n_solutions:
                 break
-            u0, its = nehari_minimize(problem, e, tol=tol)
+            u0, its = nehari_minimize(problem, e, tol=tol, max_iter=max_iter)
             try:
-                u, its2 = newton_solve(problem, u0, tol=tol, max_iter=max_iter)
+                u, its2 = newton_solve(problem, u0, tol=tol)
             except SolverError:
                 continue
             try_accept(u, its + its2, j)
 
-    def deflated_newton(j, amp, pert):
-        e = spectrum.eigenfields[min(j, len(spectrum.eigenfields) - 1)]
-        v = e / norm_l2(grid, e)
-        u0 = amp * _initial_amplitude(problem, v) * v
-        if pert > 0:
-            w = rng.standard_normal((grid.n, grid.n))
-            u0 = u0 + pert * norm_l2(grid, u0) * w / max(norm_l2(grid, w), 1e-30)
-        roots = [grid.zeros()] + [r.u for r in found]
-        try:
-            u, its = newton_solve(problem, u0, tol=tol, max_iter=max_iter,
-                                  deflate=roots, rho=rho)
-        except SolverError:
-            return
-        try_accept(u, its, j)
-
-    # deflated-Newton starts along eigenfield directions, then a randomized
-    # perturbation sweep as a last resort
     first = max(m + 1, 0)
     directions = range(first, len(spectrum.eigenfields))
     starts = [(j, 1.0, 0.0) for j in directions]
     starts += [s for j in directions for s in ((j, 2.0, 0.0), (j, 0.5, 0.05))]
-    for start in starts:
+    # random amplitudes are drawn only when their start is reached
+    starts += [(first + k % max(len(directions), 1), None, 0.1)
+               for k in range(60)]
+    for j, amp, pert in starts:
         if len(found) >= n_solutions:
             break
-        deflated_newton(*start)
-    for attempt in range(max_starts):
-        if len(found) >= n_solutions:
-            break
-        j = first + attempt % max(len(directions), 1)
-        deflated_newton(j, float(rng.uniform(0.3, 3.0)), 0.1)
+        amp = float(rng.uniform(0.3, 3.0)) if amp is None else amp
+        roots = [grid.zeros()] + [r.u for r in found]
+        start = _newton_from_direction(problem, spectrum, j, roots, tol, amp,
+                                       pert, rng)
+        if start is not None:
+            try_accept(*start, j)
     found.sort(key=lambda r: r.phi)
     for r in found:
         r.info["rejected_same_level"] = [dict(d) for d in rejected]

@@ -208,6 +208,9 @@ def test_kato_check_run(tmp_path):
     rows = (tmp_path / "kato_log.csv").read_text().splitlines()
     assert rows[0] == "r,modulus"
     assert len(rows) == 3
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"operator", "kato_log", "kato_heat", "resolvent"}
+    assert all(t >= 0 for t in timings.values())
 
 
 def test_solve_mp_run(tmp_path):
@@ -265,6 +268,25 @@ def test_solve_fountain_partial_result(tmp_path, monkeypatch, capsys, found):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["warnings"] == [summary["warning"]]
     assert "summary.json" in manifest["checksums"]
+
+
+def test_solve_fountain_passes_max_iter(tmp_path, monkeypatch):
+    seen = {}
+
+    def spy(problem, n_solutions, **kwargs):
+        seen.update(kwargs)
+        return []
+    monkeypatch.setattr(a2.variational, "fountain_solve", spy)
+    cli.main(["solve-fountain", "--n", "8", "--max-iter", "7",
+              "--out", str(tmp_path)])
+    assert seen["max_iter"] == 7
+
+
+def test_solve_mp_has_no_count_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-mp", "--n", "8", "--count", "3",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_run_reproducibility_across_directories(tmp_path):

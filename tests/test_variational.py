@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 
 import anderson2d as a2
-from anderson2d import Nonlinearity, Potential
+from anderson2d import Nonlinearity, Potential, variational
 from anderson2d.potentials import constant, spike
 from anderson2d.variational import (
     _deflation_factor,
     _initial_amplitude,
     _negative_endpoint,
+    _newton_step,
     nehari_minimize,
 )
 
 from conftest import random_field
+from test_operator import dense_h_oracle
 
 
 def zero_problem(grid, nl=None):
@@ -190,6 +192,35 @@ def test_deflated_newton_avoids_known_root(grid16):
     assert a2.norm_l2(grid16, r) <= 1e-10 * (1 + a2.norm_l2(grid16, u))
 
 
+def test_deflated_step_matches_rank_one_jacobian_oracle(grid8, op8):
+    # the deflated Jacobian M J + G grad(log M)^T, G = M R, solved densely
+    prob = a2.AndersonProblem(
+        op=op8, a=Potential(field=random_field(grid8, 31), declared_p=2.0),
+        nl=a2.pow3())
+    root = random_field(grid8, 32)
+    w = random_field(grid8, 33)
+    u = root + 0.2 * w / a2.norm_l2(grid8, w)
+    M, Mgrad = _deflation_factor(grid8, u, [root], rho=0.5, with_grad=True)
+    assert M > 1.0
+    R = a2.residual(prob, u)
+    J = -dense_h_oracle(grid8, op8.xi) + np.diag(
+        op8.c + prob.a.field.ravel() - prob.nl.dfdz(u).ravel())
+    G = M * R.ravel()
+    expect = np.linalg.solve(M * J + np.outer(G, Mgrad.ravel()), -G)
+    step = _newton_step(prob, u, R, Mgrad).ravel()
+    assert np.linalg.norm(step - expect) <= 1e-6 * np.linalg.norm(expect)
+
+
+def test_newton_rejects_an_inaccurate_linear_solve(grid16, monkeypatch):
+    # a solve that claims success (info = 0) but leaves ||J y + R|| = ||R||
+    monkeypatch.setattr(variational.spla, "minres",
+                        lambda A, b, **kwargs: (np.zeros_like(b), 0))
+    prob = zero_problem(grid16)
+    u0 = 1.0 + 0.1 * np.cos(grid16.x1 + 0 * grid16.x2)
+    with pytest.raises(a2.SolverError, match="MINRES"):
+        a2.newton_solve(prob, u0, tol=1e-12)
+
+
 def test_mountain_pass_geometry_witness(grid16):
     prob = zero_problem(grid16)
     spec = a2.eigendecompose(prob.op, prob.a, 6)
@@ -301,6 +332,19 @@ def test_fountain_records_same_level_rejections(grid16):
             assert type(d["phi"]) is float and type(d["matched_phi"]) is float
             assert type(d["start_direction"]) is int
         assert "warning" not in s.info
+
+
+def test_fountain_deflated_newton_levels(grid16):
+    # a = -3 gives m >= 0: no Nehari phase, every level comes from
+    # deflated Newton along the eigenfields above the non-positive block
+    op = a2.AndersonOperator(grid16, a2.sample_white_noise(grid16, 4))
+    prob = a2.AndersonProblem(op=op, a=constant(grid16, -3.0), nl=a2.pow3())
+    sols = a2.fountain_solve(prob, 3, tol=1e-6, seed=0)
+    expect = [0.103411077644, 0.439241348681, 0.953095757581]
+    assert [s.phi for s in sols] == pytest.approx(expect, rel=1e-9)
+    assert [s.info["start_direction"] for s in sols] == [6, 7, 8]
+    for s in sols:
+        assert s.residual_l2 <= 1e-6 * (1 + a2.norm_l2(grid16, s.u))
 
 
 def test_fountain_requires_odd(grid16):
