@@ -7,7 +7,6 @@ from .version import __version__
 from .grid import (
     TorusGrid,
     GridMismatchError,
-    canonical_coefficients,
     convolve,
     dft_forward,
     dft_inverse,

@@ -17,7 +17,6 @@ expected outcome, not a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,9 +32,9 @@ class SelfDualInconsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class ChoquardProblem:
     """Operator, bounded non-negative potential a, non-positive kernel w,
-    and the convolution exponents (p, q).
+    and the convolution exponents (p, q) of the power maps |u|^p and
+    |u|^{q-2} u.
 
-    Optional pointwise maps (fmap, gmap) generalize |u|^p and |u|^{q-2}u.
     The kernel's half-spectrum rfft2(w) is computed once, read-only, as
     w_hat.
     """
@@ -45,10 +44,6 @@ class ChoquardProblem:
     w: np.ndarray
     p: float = 2.0
     q: float = 3.0
-    fmap: Optional[Callable] = None
-    gmap: Optional[Callable] = None
-    fmap_prime: Optional[Callable] = None
-    gmap_prime: Optional[Callable] = None
     w_hat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,11 +65,9 @@ class ChoquardProblem:
         return self.op.grid
 
     def _f(self, u):
-        return self.fmap(u) if self.fmap is not None else np.abs(u)**self.p
+        return np.abs(u)**self.p
 
     def _g(self, u):
-        if self.gmap is not None:
-            return self.gmap(u)
         # |0|^{q-2} 0 := 0 also for q < 2
         out = np.zeros_like(u)
         nz = u != 0
@@ -125,26 +118,26 @@ def fenchel_conjugate_quadratic(prob, p_field):
     return 0.5 * inner_l2(prob.grid, p_field, prob.solve_a(p_field))
 
 
-def selfdual_value(prob, u, check_identity=True):
+def selfdual_value(prob, u):
     """I(u) = phi(u) + phi*(-Lambda u) + <Lambda u, u> = 1/2 <r, A^{-1} r>.
 
-    The residual form is the primary formula; the Fenchel form is
-    cross-checked and a violation raises, as does I < -1e-8.
+    The residual form is the primary formula; every call cross-checks it
+    against the Fenchel form, and a mismatch beyond 1e-8 (1 + |I|) raises,
+    as does I < -1e-8.
     """
     grid = prob.grid
     u = grid.check_field(u)
     lam = lambda_apply(prob, u)
     r = prob.apply_a(u) + lam
     val = 0.5 * inner_l2(grid, r, prob.solve_a(r)) if np.any(r) else 0.0
-    if check_identity:
-        fenchel = (quadratic_value(prob, u)
-                   + fenchel_conjugate_quadratic(prob, -lam)
-                   + inner_l2(grid, lam, u))
-        if abs(val - fenchel) > 1e-8 * (1.0 + abs(val)):
-            raise SelfDualInconsistencyError(
-                f"self-dual identity failed: residual form {val} vs "
-                f"Fenchel form {fenchel}"
-            )
+    fenchel = (quadratic_value(prob, u)
+               + fenchel_conjugate_quadratic(prob, -lam)
+               + inner_l2(grid, lam, u))
+    if abs(val - fenchel) > 1e-8 * (1.0 + abs(val)):
+        raise SelfDualInconsistencyError(
+            f"self-dual identity failed: residual form {val} vs "
+            f"Fenchel form {fenchel}"
+        )
     if val < -1e-8:
         raise SelfDualInconsistencyError(f"self-dual value negative: {val}")
     return val
@@ -164,17 +157,10 @@ def _selfdual_gradient(prob, u):
     r = prob.apply_a(u) - conv_f * g  # A u + Lambda u
     z = prob.solve_a(r) if np.any(r) else np.zeros_like(u)
     I = 0.5 * inner_l2(grid, r, z)
-    # DLambda^T z for the power maps (or user-supplied derivatives)
-    if prob.fmap_prime is not None or prob.gmap_prime is not None:
-        fp = prob.fmap_prime(u) if prob.fmap_prime else \
-            prob.p * np.abs(u)**(prob.p - 2.0) * u
-        gp = prob.gmap_prime(u) if prob.gmap_prime else \
-            (prob.q - 1.0) * np.abs(u)**(prob.q - 2.0)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fp = np.where(u != 0, prob.p * np.abs(u)**(prob.p - 2.0) * u, 0.0)
-            gp = np.where(u != 0,
-                          (prob.q - 1.0) * np.abs(u)**(prob.q - 2.0), 0.0)
+    # DLambda^T z for the power maps, with f' = g' = 0 where u = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fp = np.where(u != 0, prob.p * np.abs(u)**(prob.p - 2.0) * u, 0.0)
+        gp = np.where(u != 0, (prob.q - 1.0) * np.abs(u)**(prob.q - 2.0), 0.0)
     # w~(x) = w(-x) has half-spectrum conj(w_hat) since w is real
     term1 = -fp * convolve_spectrum(grid, g * z, np.conj(prob.w_hat))
     term2 = -conv_f * gp * z

@@ -29,14 +29,14 @@ def build_parser():
         description="Anderson operator toolkit on the flat 2-torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_root = os.environ.get("ANDERSON2D_OUT_ROOT", "runs")
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None,
-                       help=f"output directory (default under {default_root})")
+                       help="output directory (default <root>/<command>, the "
+                            "root from $ANDERSON2D_OUT_ROOT or runs)")
 
     p = sub.add_parser("sample-noise", help="draw a seeded white-noise field")
     common(p)
@@ -83,39 +83,41 @@ def build_parser():
     return parser
 
 
+_SWEEP_FIELDS = {"r": "sweep_r", "T": "sweep_T", "lambda": "sweep_lambda"}
+
+
 def _parse_sweep(text):
+    """Sweep fields from "key=v,v;key=v"; ConfigError on a bad key."""
     out = {}
     for part in text.split(";"):
         key, _, vals = part.partition("=")
-        out[key.strip()] = tuple(float(v) for v in vals.split(","))
+        key = key.strip()
+        if key not in _SWEEP_FIELDS:
+            raise ConfigError(f"sweep: unknown key {key!r}, use "
+                              f"{', '.join(_SWEEP_FIELDS)}")
+        if _SWEEP_FIELDS[key] in out:
+            raise ConfigError(f"sweep: key {key!r} is given twice")
+        try:
+            out[_SWEEP_FIELDS[key]] = tuple(float(v) for v in vals.split(","))
+        except ValueError:
+            raise ConfigError(f"sweep: key {key!r} needs comma-separated "
+                              f"numbers, got {vals!r}") from None
     return out
 
 
 def config_from_args(args):
     if args.config:
         config = RunConfig.from_json(Path(args.config).read_text())
-        config.command = args.command
     else:
         config = RunConfig(command=args.command)
-    overrides = {
-        "n": "n", "seed": "seed", "out": "out", "cutoff": "cutoff",
-        "times": "times", "potential": "potential",
-        "count": "count", "nonlinearity": "nonlinearity", "tol": "tol",
-        "max_iter": "max_iter", "a_spec": "a_spec", "w_spec": "w_spec",
-        "p": "p", "q": "q", "init": "init",
-    }
-    for arg_name, field in overrides.items():
-        val = getattr(args, arg_name, None)
+    # every option's dest is a RunConfig field, except --config and --sweep
+    for name in RunConfig.__dataclass_fields__:
+        val = getattr(args, name, None)
         if val is not None:
-            setattr(config, field, val)
+            setattr(config, name, val)
     if getattr(args, "sweep", None):
-        sweeps = _parse_sweep(args.sweep)
-        if "r" in sweeps:
-            config.sweep_r = sweeps["r"]
-        if "T" in sweeps:
-            config.sweep_T = sweeps["T"]
-        if "lambda" in sweeps:
-            config.sweep_lambda = sweeps["lambda"]
+        for name, vals in _parse_sweep(args.sweep).items():
+            setattr(config, name, vals)
     if args.out is None and not args.config:
         root = os.environ.get("ANDERSON2D_OUT_ROOT", "runs")
         config.out = str(Path(root) / args.command)

@@ -94,8 +94,8 @@ class TorusGrid:
         """Wavenumber pairs in the canonical lexicographic order.
 
         Returns an (n^2, 2) integer array of (kx1, kx2) with each component
-        in [-n/2, n/2), sorted lexicographically.  All spectral dumps use
-        this order.
+        in [-n/2, n/2), sorted lexicographically.  Degenerate eigenclusters
+        are re-spanned from Fourier modes in this order.
         """
         half = self.n // 2
         ks = np.arange(-half, half)
@@ -179,12 +179,6 @@ def hermitian_symmetry_defect(grid, u_hat):
     flipped = np.conj(np.roll(np.flip(u_hat, axis=(0, 1)), 1, axis=(0, 1)))
     scale = np.max(np.abs(u_hat)) or 1.0
     return float(np.max(np.abs(u_hat - flipped)) / scale)
-
-
-def canonical_coefficients(grid, u_hat):
-    """Flatten FFT-layout coefficients into the canonical wavenumber order."""
-    shifted = np.fft.fftshift(u_hat)  # rows/cols now ordered -n/2 .. n/2-1
-    return shifted.ravel()
 
 
 def convolve(grid, u, w):

@@ -67,6 +67,9 @@ class RunConfig:
             raise ConfigError(f"max_iter: must be non-negative, got {self.max_iter}")
         if self.command in ("spectrum", "solve-fountain") and self.count < 1:
             raise ConfigError(f"count: must be at least 1, got {self.count}")
+        if self.cutoff is not None and not 0 <= self.cutoff <= self.n // 2:
+            raise ConfigError(f"cutoff: must lie in [0, n/2] = "
+                              f"[0, {self.n // 2}], got {self.cutoff}")
         if self.command == "spectrum" and self.count > self.n * self.n:
             raise ConfigError(f"count: must not exceed n^2 = {self.n * self.n} "
                               f"eigenpairs, got {self.count}")
@@ -172,12 +175,40 @@ def _solution_frame(grid, results, outdir, files):
                 outdir / f"trace_{i}.csv", ["iter", "phi", "grad_norm"]))
 
 
+def _resolve_specs(config, grid, op):
+    """The command's inputs (``a``, ``problem``, ``init``) from its spec
+    strings; a spec that cannot be resolved, or a Choquard problem its
+    constructor rejects, is a ConfigError naming the field."""
+    def resolve(name, fn, *args):
+        value = getattr(config, name)
+        try:
+            return fn(*args, value)
+        except (ValueError, IndexError, OSError) as exc:
+            raise ConfigError(f"{name} {value!r}: {exc}") from exc
+
+    cmd = config.command
+    inputs = {}
+    if cmd in ("spectrum", "kato-check", "solve-mp", "solve-fountain"):
+        inputs["a"] = resolve("potential", potentials.from_spec, grid)
+    if cmd in ("solve-mp", "solve-fountain"):
+        nl = resolve("nonlinearity", variational.from_spec)
+        inputs["problem"] = variational.AndersonProblem(op, inputs["a"], nl)
+    if cmd == "solve-choquard":
+        a = resolve("a_spec", potentials.from_spec, grid)
+        w = resolve("w_spec", _kernel_from_spec, grid)
+        inputs["init"] = resolve("init", _init_from_spec, grid)
+        try:
+            inputs["problem"] = choquard.ChoquardProblem(op, a, w, config.p,
+                                                         config.q)
+        except ValueError as exc:
+            raise ConfigError(f"choquard problem: {exc}") from exc
+    return inputs
+
+
 def run(config):
     """Execute a pipeline and return its RunManifest."""
     config.validate()
     t0 = time.perf_counter()
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = tg.TorusGrid(config.n)
     files = []
     timings = {}
@@ -190,6 +221,12 @@ def run(config):
         return out
 
     cmd = config.command
+    if cmd != "sample-noise":
+        xi = sample_white_noise(grid, config.seed)
+        op = clock("operator", lambda: AndersonOperator(grid, xi))
+        inputs = _resolve_specs(config, grid, op)
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     if cmd == "sample-noise":
         xi = clock("sample", lambda: sample_white_noise(grid, config.seed))
         if config.cutoff is not None:
@@ -198,16 +235,12 @@ def run(config):
         tg.save_field(grid, xi.field, fpath)
         files.append(fpath)
     elif cmd == "diagnose-heat":
-        xi = sample_white_noise(grid, config.seed)
-        op = clock("operator", lambda: AndersonOperator(grid, xi))
         report = clock("heat", lambda: op.heat_kernel_diagnostics(config.times))
         lo, hi = clock("green", op.green_log_ratio)
         report["green_ratio_low"], report["green_ratio_high"] = lo, hi
         files.append(_write_json(report, outdir / "report.json"))
     elif cmd == "spectrum":
-        xi = sample_white_noise(grid, config.seed)
-        op = clock("operator", lambda: AndersonOperator(grid, xi))
-        a = potentials.from_spec(grid, config.potential)
+        a = inputs["a"]
         spec_obj = clock("eigendecompose",
                          lambda: spectral.eigendecompose(op, a, config.count))
         delta = clock("gap", lambda: spectral.gap_delta(op, a, spec_obj))
@@ -218,9 +251,7 @@ def run(config):
             "residuals": list(map(float, spec_obj.residuals)),
         }, outdir / "spectrum.json"))
     elif cmd == "kato-check":
-        xi = sample_white_noise(grid, config.seed)
-        op = clock("operator", lambda: AndersonOperator(grid, xi))
-        a = potentials.from_spec(grid, config.potential)
+        a = inputs["a"]
         rows_r = clock("kato_log", lambda: [
             (r, spectral.kato_modulus_log(grid, a, r)) for r in config.sweep_r])
         rows_T = clock("kato_heat", lambda: [
@@ -240,24 +271,14 @@ def run(config):
             "resolvent": {_fmt(l): v for l, v in rows_l},
         }, outdir / "report.json"))
     elif cmd == "solve-mp":
-        xi = sample_white_noise(grid, config.seed)
-        op = clock("operator", lambda: AndersonOperator(grid, xi))
-        a = potentials.from_spec(grid, config.potential)
-        nl = variational.from_spec(config.nonlinearity)
-        problem = variational.AndersonProblem(op, a, nl)
         res = clock("solve", lambda: variational.mountain_pass_solve(
-            problem, tol=config.tol, max_iter=config.max_iter,
+            inputs["problem"], tol=config.tol, max_iter=config.max_iter,
             seed=config.seed))
         _solution_frame(grid, [res], outdir, files)
     elif cmd == "solve-fountain":
-        xi = sample_white_noise(grid, config.seed)
-        op = clock("operator", lambda: AndersonOperator(grid, xi))
-        a = potentials.from_spec(grid, config.potential)
-        nl = variational.from_spec(config.nonlinearity)
-        problem = variational.AndersonProblem(op, a, nl)
         results = clock("solve", lambda: variational.fountain_solve(
-            problem, config.count, tol=config.tol, max_iter=config.max_iter,
-            seed=config.seed))
+            inputs["problem"], config.count, tol=config.tol,
+            max_iter=config.max_iter, seed=config.seed))
         _solution_frame(grid, results, outdir, files)
         summary = {
             "requested": config.count,
@@ -270,14 +291,9 @@ def run(config):
             warnings.append(summary["warning"])
         files.append(_write_json(summary, outdir / "summary.json"))
     elif cmd == "solve-choquard":
-        xi = sample_white_noise(grid, config.seed)
-        op = clock("operator", lambda: AndersonOperator(grid, xi))
-        a = potentials.from_spec(grid, config.a_spec)
-        w = _kernel_from_spec(grid, config.w_spec)
-        prob = choquard.ChoquardProblem(op, a, w, p=config.p, q=config.q)
-        init = _init_from_spec(grid, config.init)
         res = clock("solve", lambda: choquard.selfdual_minimize(
-            prob, init=init, tol=config.tol, max_iter=config.max_iter))
+            inputs["problem"], init=inputs["init"], tol=config.tol,
+            max_iter=config.max_iter))
         fpath = outdir / "solution_0.f64"
         tg.save_field(grid, res.u, fpath)
         files.append(fpath)
@@ -334,4 +350,4 @@ def _init_from_spec(grid, spec):
     if spec.startswith("random:"):
         rng = np.random.default_rng(int(spec.split(":")[1]))
         return rng.standard_normal((grid.n, grid.n))
-    raise ConfigError(f"init: unknown initializer {spec!r}")
+    raise ValueError(f"unknown initializer {spec!r}")

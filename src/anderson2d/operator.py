@@ -85,8 +85,15 @@ def chebyshev_heat_coefficients(z):
 
 
 def green_band(grid):
-    """Default distance band [4h, 0.3] of AndersonOperator.green_log_ratio."""
+    """Distance band [4h, 0.3] of AndersonOperator.green_log_ratio."""
     return 4 * grid.h, 0.3
+
+
+def _source_lattice(grid):
+    """Default sources: four nodes of the lattice spaced max(n // 4, 1)."""
+    step = max(grid.n // 4, 1)
+    return [(i, j) for i in range(0, grid.n, step)
+            for j in range(0, grid.n, step)][:4]
 
 
 class AndersonOperator:
@@ -275,10 +282,11 @@ class AndersonOperator:
     def heat_kernel_diagnostics(self, t_list, sources=None):
         """Positivity / Gaussian-bound / decay-rate report for p_t.
 
-        Builds heat-kernel columns from Dirac masses at a few source
-        points, least-squares fits log p_t ~ alpha - log t - a2 d^2/t over
-        d >= 4h, picks a1 as the smallest constant sandwiching the kernel
-        with the fitted a2, and measures the uniform decay rate
+        Builds heat-kernel columns from Dirac masses at ``sources`` (by
+        default four points of a coarse lattice), least-squares fits
+        log p_t ~ alpha - log t - a2 d^2/t over d >= 4h, picks a1 as the
+        smallest constant sandwiching the kernel with the fitted a2, and
+        measures the uniform decay rate
         epsilon = min_t -log(max_x e^{t H_c} 1)/t.
         """
         t_list = [float(t) for t in t_list]
@@ -287,8 +295,7 @@ class AndersonOperator:
         grid = self.grid
         n = grid.n
         if sources is None:
-            step = max(n // 4, 1)
-            sources = [(i, j) for i in range(0, n, step) for j in range(0, n, step)][:4]
+            sources = _source_lattice(grid)
 
         min_kernel = np.inf
         negative_sites = []
@@ -336,23 +343,17 @@ class AndersonOperator:
             "negative_sites": negative_sites,
         }
 
-    def green_log_ratio(self, sources=None, d_min=None, d_max=None):
-        """Range of G(x, y) / |ln d(x, y)| over a distance band.
+    def green_log_ratio(self):
+        """Range of G(x, y) / |ln d(x, y)| over the band green_band(grid).
 
         Desk-scale check of the two-sided log comparison for the Green
-        function; returns (low, high) over sampled source points.  The
-        band defaults to green_band(grid).
+        function; returns (low, high) over the Green columns of the four
+        source points that heat_kernel_diagnostics uses by default.
         """
         grid = self.grid
-        if sources is None:
-            step = max(grid.n // 4, 1)
-            sources = [(i, j) for i in range(0, grid.n, step)
-                       for j in range(0, grid.n, step)][:4]
-        default_min, default_max = green_band(grid)
-        d_min = default_min if d_min is None else d_min
-        d_max = default_max if d_max is None else d_max
+        d_min, d_max = green_band(grid)
         lo, hi = np.inf, -np.inf
-        for x0 in sources:
+        for x0 in _source_lattice(grid):
             G = self.green_function(x0)
             d = geodesic_dist_field(grid, x0)
             mask = (d >= d_min) & (d <= d_max)

@@ -39,9 +39,9 @@ def spike(grid, q, x0=(0, 0)):
     return Potential(field=d ** (-2.0 / q), declared_p=(1.0 + q) / 2.0)
 
 
-def smooth_random(grid, seed, scale=1.0, cutoff=3):
-    """Seeded band-limited random field (mollified white noise)."""
-    xi = mollify(sample_white_noise(grid, seed), cutoff)
+def smooth_random(grid, seed, scale=1.0):
+    """Seeded band-limited random field (white noise mollified at cutoff 3)."""
+    xi = mollify(sample_white_noise(grid, seed), 3)
     f = xi.field
     amp = np.max(np.abs(f)) or 1.0
     return Potential(field=scale * f / amp, declared_p=np.inf)

@@ -65,13 +65,13 @@ def kato_modulus_log(grid, a, r):
     return float(convolve(grid, np.abs(a), kernel).max())
 
 
-def kato_modulus_heat(op, a, T, n_nodes=16):
-    """sup_x int_0^T (e^{s H_c} |a|)(x) ds on a geometric time grid."""
+def kato_modulus_heat(op, a, T):
+    """sup_x int_0^T (e^{s H_c} |a|)(x) ds on a 16-node geometric time grid."""
     if not (0 < T <= 1):
         raise ValueError(f"horizon must lie in (0, 1], got {T}")
     grid = op.grid
     a = grid.check_field(_as_field(a))
-    s_nodes = np.geomspace(T / 256.0, T, n_nodes)
+    s_nodes = np.geomspace(T / 256.0, T, 16)
     profiles = np.stack([op.heat_apply(s, np.abs(a)) for s in s_nodes])
     integral = np.trapezoid(profiles, s_nodes, axis=0)
     # leading [0, T/256] sliver: integrand is continuous at 0+ with value |a|

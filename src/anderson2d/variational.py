@@ -103,7 +103,7 @@ def from_spec(spec):
     raise ValueError(f"unknown nonlinearity spec {spec!r}")
 
 
-def check_assumption_a(nl, z_max=None, n_samples=2001):
+def check_assumption_a(nl, z_max=None):
     """Numerically audit the structural growth conditions on f.
 
     Checks |f| <= C (1 + |z|^(ell-1)), |f'| <= C' (1 + |z|^(ell-2)),
@@ -113,7 +113,7 @@ def check_assumption_a(nl, z_max=None, n_samples=2001):
     """
     if z_max is None:
         z_max = 10.0 * max(nl.k, 1.0)
-    z = np.linspace(-z_max, z_max, n_samples)
+    z = np.linspace(-z_max, z_max, 2001)
     fz, dfz, Fz = nl.f(z), nl.dfdz(z), nl.F(z)
 
     report = {}
@@ -223,7 +223,7 @@ def grad_e_norm(problem, r, g):
 # ---------------------------------------------------------------------------
 # searches
 
-def picard_baseline(problem, u0=None, max_iter=200, tol=1e-10):
+def picard_baseline(problem, u0=None, max_iter=200):
     """Fixed-point iteration u <- (-H_c)^{-1} (f(., u) - a u).
 
     A diagnostic baseline only: convergence is not guaranteed; divergence
@@ -236,7 +236,7 @@ def picard_baseline(problem, u0=None, max_iter=200, tol=1e-10):
         r = residual(problem, u)
         res = norm_l2(grid, r)
         trace.append((energy(problem, u), res, op.energy_norm(u)))
-        if res <= tol * (1.0 + norm_l2(grid, u)):
+        if res <= 1e-10 * (1.0 + norm_l2(grid, u)):
             return SolveResult(u=u, phi=energy(problem, u), residual_l2=res,
                                grad_e_norm=res, iterations=it, method="picard",
                                converged=True, trace=trace)
@@ -300,8 +300,8 @@ def _newton_step(problem, u, R, Mgrad):
     return y / denom
 
 
-def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=()):
-    """Damped Newton on the (optionally deflated) residual system.
+def newton_solve(problem, u0, tol=1e-6, deflate=()):
+    """Damped Newton, at most 100 steps, on the (optionally deflated) residual.
 
     Deflation multiplies R by `_deflation_factor` (radius 0.5) against
     the roots in ``deflate``; `_newton_step` steps are backtracked on the
@@ -311,7 +311,7 @@ def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=()):
     """
     grid = problem.grid
     u = grid.check_field(u0).copy()
-    for it in range(max_iter):
+    for it in range(100):
         R = residual(problem, u)
         res = norm_l2(grid, R)
         if res <= tol * (1.0 + norm_l2(grid, u)):
@@ -329,7 +329,7 @@ def newton_solve(problem, u0, tol=1e-6, max_iter=100, deflate=()):
             s *= 0.5
         else:
             raise SolverError("Newton line search failed to reduce the residual")
-    raise SolverError(f"Newton did not converge within {max_iter} iterations")
+    raise SolverError("Newton did not converge within 100 iterations")
 
 
 def _result_from(problem, u, iterations, method, trace=None, seed=None,
@@ -400,15 +400,15 @@ def _negative_endpoint(problem, v):
     raise NotFoundError("could not find a negative-energy endpoint")
 
 
-def mountain_pass_geometry(problem, spectrum, r1=1.0, n_samples=100, seed=0):
-    """Witness of the linking geometry: min Phi on the r1-sphere of E_{>m}
-    and a direction with negative energy; logged with each saddle search."""
+def mountain_pass_geometry(problem, spectrum, r1=1.0, seed=0):
+    """Witness of the linking geometry: min Phi at 100 seeded points of the
+    r1-sphere of E_{>m} and a negative-energy direction; logged by searches."""
     op, grid = problem.op, problem.grid
     rng = np.random.default_rng(seed)
     m = spectrum.m
     low = spectrum.eigenfields[:m + 1]
     min_phi = np.inf
-    for _ in range(n_samples):
+    for _ in range(100):
         v = rng.standard_normal((grid.n, grid.n))
         for e in low:
             v = v - e * inner_l2(grid, v, e)
@@ -480,10 +480,10 @@ def _newton_from_direction(problem, spectrum, j, roots, tol, amp=1.0,
         return None
 
 
-def mountain_pass_solve(problem, spectrum=None, tol=1e-6, max_iter=5000,
-                        seed=0):
+def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
     """Saddle search for a nontrivial critical point with Phi(u) > 0.
 
+    The low spectrum of -H_c + a comes from `eigendecompose`.
     With m = -1, Nehari descent from e_0 (at most ``max_iter`` steps) and
     a Newton polish return a local minimum of Phi on the Nehari manifold.
     Its level bounds the least positive level from above but is not the
@@ -495,8 +495,7 @@ def mountain_pass_solve(problem, spectrum=None, tol=1e-6, max_iter=5000,
     The result passes the relative residual test and ||u||_{L^2} >= 1e-3.
     """
     op, grid = problem.op, problem.grid
-    if spectrum is None:
-        spectrum = eigendecompose(op, problem.a, count=8)
+    spectrum = eigendecompose(op, problem.a, count=8)
     # the search needs several directions above the non-positive block
     while (spectrum.m + 4 > len(spectrum.eigenvalues)
            and len(spectrum.eigenvalues) < grid.n * grid.n):
@@ -537,10 +536,10 @@ def mountain_pass_solve(problem, spectrum=None, tol=1e-6, max_iter=5000,
     raise NotFoundError("no nontrivial positive-energy critical point found")
 
 
-def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
-                   max_iter=5000, seed=0):
+def fountain_solve(problem, n_solutions, tol=1e-6, max_iter=5000, seed=0):
     """Multi-solution sweep for odd nonlinearities.
 
+    The low spectrum of -H_c + a comes from `eigendecompose`.
     With m = -1, a Nehari phase runs `nehari_minimize` (at most
     ``max_iter`` steps) and a Newton polish from each eigenfield in turn.
     `_newton_from_direction` starts follow, deflated against zero and the
@@ -561,10 +560,9 @@ def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
     if not problem.nl.odd:
         raise ValueError("fountain search requires an odd nonlinearity")
     op, grid = problem.op, problem.grid
-    if spectrum is None:
-        spectrum = eigendecompose(op, problem.a,
-                                  count=min(max(12, n_solutions + 8),
-                                            grid.n * grid.n))
+    spectrum = eigendecompose(op, problem.a,
+                              count=min(max(12, n_solutions + 8),
+                                        grid.n * grid.n))
     m = spectrum.m
     rng = np.random.default_rng(seed)
     found: List[SolveResult] = []
@@ -626,7 +624,7 @@ def fountain_solve(problem, n_solutions, spectrum=None, tol=1e-6,
     return found
 
 
-def ps_diagnostics(trace, phi_tail_tol=1e-8, grad_tol=1e-6, norm_bound=1e6):
+def ps_diagnostics(trace):
     """Palais-Smale style audit of a solver trace.
 
     Entries are (phi, grad_norm[, energy_norm]) tuples.  Reports whether
@@ -639,10 +637,10 @@ def ps_diagnostics(trace, phi_tail_tol=1e-8, grad_tol=1e-6, norm_bound=1e6):
     norms = np.array([t[2] if len(t) > 2 else np.nan for t in trace])
     tail = max(len(trace) // 5, 2)
     phi_converged = bool(len(phis) >= 2 and
-                         np.max(np.abs(np.diff(phis[-tail:]))) < phi_tail_tol
+                         np.max(np.abs(np.diff(phis[-tail:]))) < 1e-8
                          and np.isfinite(phis[-1]))
-    grad_vanishes = bool(grads[-1] < grad_tol)
-    bounded = bool(np.nanmax(norms) < norm_bound) if np.any(np.isfinite(norms)) \
+    grad_vanishes = bool(grads[-1] < 1e-6)
+    bounded = bool(np.nanmax(norms) < 1e6) if np.any(np.isfinite(norms)) \
         else bool(np.all(np.isfinite(phis)))
     return {
         "phi_converged": phi_converged,

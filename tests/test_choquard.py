@@ -288,17 +288,17 @@ def test_selfdual_minimize_seeded(grid8):
     assert all(x >= y - 1e-14 for x, y in zip(Is, Is[1:]))
 
 
-def test_custom_maps_match_default_powers(grid8):
-    op = a2.AndersonOperator(grid8, grid8.zeros())
-    w = -np.ones((8, 8))
-    base = ChoquardProblem(op=op, a=constant(grid8, 1.0), w=w, p=2.0, q=3.0)
-    custom = ChoquardProblem(
-        op=op, a=constant(grid8, 1.0), w=w, p=2.0, q=3.0,
-        fmap=lambda u: u * u, gmap=lambda u: np.abs(u) * u,
-        fmap_prime=lambda u: 2.0 * u, gmap_prime=lambda u: 2.0 * np.abs(u))
-    rng = np.random.default_rng(37)
-    u = rng.standard_normal((8, 8))
-    assert np.max(np.abs(a2.lambda_apply(base, u)
-                         - a2.lambda_apply(custom, u))) <= 1e-12
-    assert abs(a2.selfdual_value(base, u)
-               - a2.selfdual_value(custom, u)) <= 1e-10
+@pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.5, 3.0), (1.5, 2.5)])
+def test_selfdual_gradient_matches_central_difference(grid8, p, q):
+    # <grad, v> against (I(u + eps v) - I(u - eps v)) / (2 eps), eps = 1e-6
+    op = a2.AndersonOperator(grid8, a2.sample_white_noise(grid8, seed=53))
+    w = -np.abs(random_field(grid8, 54))
+    prob = ChoquardProblem(op=op, a=constant(grid8, 1.0), w=w, p=p, q=q)
+    u = random_field(grid8, 55)
+    v = random_field(grid8, 56)
+    _, _, _, grad = _selfdual_gradient(prob, u)
+    expect = a2.inner_l2(grid8, grad, v)
+    eps = 1e-6
+    fd = (a2.selfdual_value(prob, u + eps * v)
+          - a2.selfdual_value(prob, u - eps * v)) / (2.0 * eps)
+    assert abs(fd - expect) <= 1e-6 * abs(expect)

@@ -1,5 +1,7 @@
 """Tests for the run harness and the command-line front end."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -368,3 +370,48 @@ def test_cli_sweep_help_example_parses(capsys):
     assert config.sweep_r == (0.8, 0.4)
     assert config.sweep_T == (0.5,)
     assert config.sweep_lambda == (1.0, 10.0)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["spectrum", "--potential", "builtin:nope"], "potential"),
+    (["spectrum", "--potential", "builtin:const"], "potential"),
+    (["spectrum", "--potential", "builtin:spike:0.5"], "potential"),
+    (["spectrum", "--potential", "MISSING.f64"], "potential"),
+    (["spectrum", "--potential", "MISSING.txt"], "potential"),
+    (["solve-mp", "--nonlinearity", "cube"], "nonlinearity"),
+    (["solve-mp", "--nonlinearity", "pow:3"], "nonlinearity"),
+    (["solve-choquard", "--init", "random:x"], "init"),
+    (["solve-choquard", "--w", "builtin:negconst:x"], "w_spec"),
+    (["solve-choquard", "--w", "MISSING.f64"], "w_spec"),
+    (["solve-choquard", "--p", "0.5"], "choquard problem"),
+    (["solve-choquard", "--a", "builtin:const:-1"], "choquard problem"),
+    (["sample-noise", "--cutoff", "-1"], "cutoff"),
+    (["sample-noise", "--cutoff", "5"], "cutoff"),
+    (["kato-check", "--sweep", "r=abc"], "'r'"),
+    (["kato-check", "--sweep", "r="], "'r'"),
+    (["kato-check", "--sweep", "x=1;r=0.8"], "'x'"),
+    (["kato-check", "--sweep", "r=0.8;r=0.4"], "'r'"),
+])
+def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv, named):
+    argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--n", "8", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_every_cli_option_is_a_config_field():
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if action.dest not in ("config", "sweep"):
+                assert action.dest in names, (command, action.dest)
+    assert set(cli._SWEEP_FIELDS.values()) <= names

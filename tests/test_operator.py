@@ -89,6 +89,17 @@ def test_constant_noise_shift():
     assert op.c == pytest.approx(6.0, abs=1e-8)
 
 
+def test_renormalized_operator_subtracts_the_log_drift():
+    g = TorusGrid(16)
+    xi = a2.sample_white_noise(g, 13).field
+    raw = AndersonOperator(g, xi)
+    ren = AndersonOperator(g, xi, renormalize=True)
+    drift = np.log(16) / (2.0 * np.pi)
+    assert ren.renormalize and not raw.renormalize
+    assert np.array_equal(ren.xi, xi - drift)
+    assert abs(ren.lambda_max_h - (raw.lambda_max_h - drift)) <= 1e-9
+
+
 def test_symmetry(grid8, op8):
     u, v = random_field(grid8, 2), random_field(grid8, 3)
     lhs = a2.inner_l2(grid8, op8.apply_h(u), v)
