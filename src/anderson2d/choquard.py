@@ -54,7 +54,7 @@ class ChoquardProblem:
             raise ValueError("Choquard potential must be non-negative")
         if np.max(w) > 0:
             raise ValueError("interaction kernel must be non-positive")
-        if self.p < 1 or self.q <= 1:
+        if not (self.p >= 1 and self.q > 1):  # NaN fails too
             raise ValueError(f"need p >= 1 and q > 1, got p={self.p}, q={self.q}")
         w_hat = np.fft.rfft2(w)
         w_hat.flags.writeable = False

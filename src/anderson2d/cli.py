@@ -107,7 +107,11 @@ def _parse_sweep(text):
 
 def config_from_args(args):
     if args.config:
-        config = RunConfig.from_json(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config: cannot read the file: {exc}") from None
+        config = RunConfig.from_json(text)
     else:
         config = RunConfig(command=args.command)
     # every option's dest is a RunConfig field, except --config and --sweep

@@ -31,6 +31,18 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+# RunConfig field annotation -> (JSON value test, what the value must be);
+# json.loads gives exact types, so ``type(v) is int`` keeps booleans out
+_JSON_TYPES = {
+    "str": (lambda v: type(v) is str, "a string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "Optional[int]": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "tuple": (lambda v: type(v) is list
+              and all(type(x) in (int, float) for x in v), "a list of numbers"),
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -57,11 +69,14 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"command: unknown command {self.command!r}")
+        for name in ("times", "sweep_r", "sweep_T", "sweep_lambda"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: must hold at least one value")
         if self.n <= 0 or self.n % 2:
             raise ConfigError(f"n: must be positive even, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be non-negative, got {self.seed}")
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN, which JSON configs allow
             raise ConfigError(f"tol: must be positive, got {self.tol}")
         if self.max_iter < 0:
             raise ConfigError(f"max_iter: must be non-negative, got {self.max_iter}")
@@ -102,13 +117,24 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        for key in ("times", "sweep_r", "sweep_T", "sweep_lambda"):
-            if key in data and isinstance(data[key], list):
-                data[key] = tuple(data[key])
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        """A RunConfig from JSON text; ConfigError on malformed JSON, an
+        unknown field or a value of the wrong type."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            is_type, kind = _JSON_TYPES[fields[name].type]
+            if not is_type(value):
+                raise ConfigError(f"{name}: must be {kind}, got {value!r}")
+            if isinstance(value, list):
+                data[name] = tuple(value)
         return cls(**data)
 
 

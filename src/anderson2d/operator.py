@@ -9,8 +9,9 @@ Every grid size runs the same matrix-free path: H is applied as the FFT
 Laplacian plus a diagonal, and the one preconditioner is (-Delta + sigma)^{-1}
 applied by FFT.  Both use real FFTs (rfft2/irfft2) and the grid's cached
 half-spectrum symbol.  Eigenpairs come from block LOBPCG, shifted solves from
-preconditioned CG, and the semigroup from a Chebyshev expansion.  Each
-solve checks its true residual and raises SolverError when it misses.
+preconditioned CG, and the semigroup from a Chebyshev expansion whose one
+recurrence T_k(X) u serves any number of times at once.  Each solve checks
+its true residual and raises SolverError when it misses.
 
 A shifted solve costs one real-FFT pair per CG iteration, not two: the
 operator splits as -H_c + lam = (-Delta + sigma) + d with d a diagonal
@@ -245,33 +246,42 @@ class AndersonOperator:
     # -- heat semigroup -----------------------------------------------------
 
     def heat_apply(self, t, u):
-        """e^{t H_c} u = e^{t (H - c)} u for t > 0.
+        """e^{t H_c} u = e^{t (H - c)} u for t > 0 or a 1-D sequence of such t.
 
         Chebyshev expansion (Tal-Ezer & Kosloff 1984) on the interval
         [lo, hi] = [min symbol + min xi - c, lambda_max - c] that holds the
         spectrum of H - c: with X = (H - c - mid) / half mapping it to
         [-1, 1] and z = t half, e^{t(H - c)} = e^{t hi} sum_k' 2 I_k(z)
-        e^{-z} T_k(X).
+        e^{-z} T_k(X).  Only the coefficients depend on t, so one recurrence
+        T_k(X) u, run to the longest series, serves every time; each time
+        sums its own terms in the order of a single-time call and stops at
+        its own length, so its result does not depend on the other times.
+        A number t gives an (n, n) field, a sequence a (len(t), n, n) stack.
         """
-        if t <= 0:
-            raise ValueError(f"heat time must be positive, got {t}")
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1 or times.size == 0 or not np.all(times > 0):
+            raise ValueError(f"heat times must be positive, a number or a "
+                             f"non-empty 1-D sequence, got {t!r}")
         u = self.grid.check_field(u)
         lo = float(self.grid.lap_multiplier.min() + self.xi.min()) - self.c
         hi = self.lambda_max_h - self.c
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        coeff = chebyshev_heat_coefficients(t * half)
+        coeffs = [chebyshev_heat_coefficients(s * half) for s in times.flat]
 
         def apply_x(v):
             return (self.apply_h(v) - (self.c + mid) * v) / half
 
-        prev, cur = u, apply_x(u)
-        out = coeff[0] * prev
-        if len(coeff) > 1:
-            out = out + 2.0 * coeff[1] * cur
-        for ck in coeff[2:]:
-            prev, cur = cur, 2.0 * apply_x(cur) - prev
-            out += 2.0 * ck * cur
-        return np.exp(t * hi) * out
+        outs = [coeff[0] * u for coeff in coeffs]
+        prev, cur = None, u
+        for k in range(1, max(len(coeff) for coeff in coeffs)):
+            nxt = apply_x(cur) if k == 1 else 2.0 * apply_x(cur) - prev
+            prev, cur = cur, nxt
+            for out, coeff in zip(outs, coeffs):
+                if k < len(coeff):
+                    out += 2.0 * coeff[k] * cur
+        stack = np.stack([np.exp(s * hi) * out
+                          for s, out in zip(times.flat, outs)])
+        return stack if times.ndim else stack[0]
 
     def green_function(self, x0):
         """Green column G(., x0) of -H_c: solves (-H_c) G = dirac_{x0}."""
@@ -283,7 +293,8 @@ class AndersonOperator:
         """Positivity / Gaussian-bound / decay-rate report for p_t.
 
         Builds heat-kernel columns from Dirac masses at ``sources`` (by
-        default four points of a coarse lattice), least-squares fits
+        default four points of a coarse lattice), one heat_apply call per
+        source for all of ``t_list``, least-squares fits
         log p_t ~ alpha - log t - a2 d^2/t over d >= 4h, picks a1 as the
         smallest constant sandwiching the kernel with the fitted a2, and
         measures the uniform decay rate
@@ -302,9 +313,8 @@ class AndersonOperator:
         xs, ys = [], []  # regression: y = log p + log t, x = d^2/t
         for x0 in sources:
             d = geodesic_dist_field(grid, x0)
-            delta = dirac(grid, x0)
-            for t in t_list:
-                col = self.heat_apply(t, delta)
+            cols = self.heat_apply(t_list, dirac(grid, x0))
+            for t, col in zip(t_list, cols):
                 m = float(col.min())
                 if m < min_kernel:
                     min_kernel = m
@@ -330,9 +340,8 @@ class AndersonOperator:
         lower = np.max(-(y + a2 * x))  # p >= 1/(a1 t) e^{-a2 d^2/t}
         a1 = float(np.exp(min(max(upper, lower, 0.0), 700.0)))
 
-        ones = np.ones((n, n))
-        eps = min(-np.log(float(self.heat_apply(t, ones).max())) / t
-                  for t in t_list)
+        flows = self.heat_apply(t_list, np.ones((n, n)))
+        eps = min(-np.log(float(flow.max())) / t for t, flow in zip(t_list, flows))
 
         return {
             "a1": a1,

@@ -42,6 +42,12 @@ def test_config_validation():
     assert RunConfig(command="spectrum").validate() is not None
 
 
+def test_config_rejects_empty_time_and_sweep_lists():
+    for name in ("times", "sweep_r", "sweep_T", "sweep_lambda"):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(command="kato-check", **{name: ()}).validate()
+
+
 def test_config_rejects_kato_radius_not_above_spacing(tmp_path, capsys):
     # at n = 32, h = 0.196: the default sweep reaches r = 0.1
     with pytest.raises(ConfigError, match="sweep_r"):
@@ -401,6 +407,38 @@ def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv, named):
     assert err.startswith("config error:") and named in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("spectrum", None, "cannot read"),
+    ("spectrum", '{"command": ', "not valid JSON"),
+    ("spectrum", '["spectrum"]', "JSON object"),
+    ("spectrum", '{"command": "spectrum", "n": "16"}', "n:"),
+    ("spectrum", '{"command": "spectrum", "n": 16.0}', "n:"),
+    ("spectrum", '{"command": "spectrum", "seed": true}', "seed:"),
+    ("spectrum", '{"command": "spectrum", "tol": "1e-6"}', "tol:"),
+    ("solve-mp", '{"command": "solve-mp", "n": 16, "tol": NaN}', "tol:"),
+    ("solve-choquard", '{"command": "solve-choquard", "q": NaN}', "choquard"),
+    ("spectrum", '{"command": "spectrum", "potential": 3}', "potential:"),
+    ("diagnose-heat", '{"command": "diagnose-heat", "times": 0.1}', "times:"),
+    ("diagnose-heat", '{"command": "diagnose-heat", "times": ["0.1"]}', "times:"),
+    ("diagnose-heat", '{"command": "diagnose-heat", "n": 96, "times": []}',
+     "times:"),
+    ("kato-check", '{"command": "kato-check", "n": 32, "sweep_T": []}', "sweep_T:"),
+    ("kato-check", '{"command": "kato-check", "n": 32, "sweep_r": []}', "sweep_r:"),
+    ("kato-check", '{"command": "kato-check", "n": 32, "sweep_lambda": []}',
+     "sweep_lambda:"),
+])
+def test_cli_bad_config_file_is_a_config_error(tmp_path, capsys, command, text,
+                                               named):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    code = cli.main([command, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and named in err
+    assert "Traceback" not in err
 
 
 def test_every_cli_option_is_a_config_field():

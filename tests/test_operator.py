@@ -196,8 +196,22 @@ def test_heat_semigroup(grid16, op16_zero, op8, grid8):
     vals, vecs = np.linalg.eigh(dense_h_oracle(grid8, op8.xi) - op8.c * np.eye(64))
     oracle = vecs @ (np.exp(0.5 * vals) * (vecs.T @ v.ravel()))
     assert np.max(np.abs(full.ravel() - oracle)) <= 1e-10 * np.max(np.abs(oracle))
-    with pytest.raises(ValueError):
-        op8.heat_apply(0.0, v)
+    for bad in (0.0, -0.1, [0.1, 0.0], (0.2, -1e-3), [], [[0.1]]):
+        with pytest.raises(ValueError):
+            op8.heat_apply(bad, v)
+
+
+def test_heat_apply_many_times_is_bit_identical_to_one_at_a_time(grid8, op8):
+    v = random_field(grid8, 11)
+    ts = (0.5, 1e-3, 0.2, 0.2)  # unsorted, with a duplicate
+    stack = op8.heat_apply(ts, v)
+    assert stack.shape == (len(ts), 8, 8)
+    for i, t in enumerate(ts):
+        single = op8.heat_apply(t, v)
+        assert single.shape == (8, 8)
+        assert np.array_equal(stack[i], single)
+    assert np.array_equal(op8.heat_apply(np.array([0.2]), v)[0],
+                          op8.heat_apply(0.2, v))
 
 
 def test_chebyshev_heat_coefficients():

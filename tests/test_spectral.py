@@ -54,6 +54,23 @@ def test_kato_modulus_heat_vanishes_with_T(op8, grid8):
     assert vals[-1] < 0.05 * vals[0]
 
 
+def test_kato_modulus_heat_runs_one_recurrence(op8, grid8, monkeypatch):
+    # all 16 quadrature nodes share one Chebyshev recurrence, run to the
+    # series of the longest node T
+    calls = []
+    apply_h = AndersonOperator.apply_h
+    monkeypatch.setattr(AndersonOperator, "apply_h",
+                        lambda self, u: calls.append(1) or apply_h(self, u))
+    a = Potential(field=np.abs(random_field(grid8, 4)), declared_p=2.0)
+    lo = float(grid8.lap_multiplier.min() + op8.xi.min()) - op8.c
+    half = 0.5 * (op8.lambda_max_h - op8.c - lo)
+    for T in (1.0, 0.25):
+        calls.clear()
+        a2.kato_modulus_heat(op8, a, T)
+        coeff = a2.operator.chebyshev_heat_coefficients(T * half)
+        assert len(calls) == len(coeff) - 1
+
+
 def test_resolvent_sup_norm(grid16, op16_zero, op8, grid8):
     one = constant(grid16, 1.0)
     for lam in (0.0, 1.0, 10.0):
