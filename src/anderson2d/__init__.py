@@ -8,9 +8,8 @@ from .grid import (
     TorusGrid,
     GridMismatchError,
     convolve,
-    dft_forward,
-    dft_inverse,
     dirac,
+    fourier_multiply,
     geodesic_dist,
     geodesic_dist_field,
     inner_l2,

@@ -52,6 +52,8 @@ class ChoquardProblem:
         w = grid.check_field(self.w)
         if np.min(a) < 0:
             raise ValueError("Choquard potential must be non-negative")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("interaction kernel contains non-finite entries")
         if np.max(w) > 0:
             raise ValueError("interaction kernel must be non-positive")
         if not (self.p >= 1 and self.q > 1):  # NaN fails too
@@ -123,22 +125,24 @@ def selfdual_value(prob, u):
 
     The residual form is the primary formula; every call cross-checks it
     against the Fenchel form, and a mismatch beyond 1e-8 (1 + |I|) raises,
-    as does I < -1e-8.
+    as do I < -1e-8, a NaN in either form and a non-finite field.
     """
     grid = prob.grid
     u = grid.check_field(u)
+    if not np.all(np.isfinite(u)):
+        raise SelfDualInconsistencyError("self-dual value of a non-finite field")
     lam = lambda_apply(prob, u)
     r = prob.apply_a(u) + lam
     val = 0.5 * inner_l2(grid, r, prob.solve_a(r)) if np.any(r) else 0.0
     fenchel = (quadratic_value(prob, u)
                + fenchel_conjugate_quadratic(prob, -lam)
                + inner_l2(grid, lam, u))
-    if abs(val - fenchel) > 1e-8 * (1.0 + abs(val)):
+    if not abs(val - fenchel) <= 1e-8 * (1.0 + abs(val)):
         raise SelfDualInconsistencyError(
             f"self-dual identity failed: residual form {val} vs "
             f"Fenchel form {fenchel}"
         )
-    if val < -1e-8:
+    if not val >= -1e-8:
         raise SelfDualInconsistencyError(f"self-dual value negative: {val}")
     return val
 

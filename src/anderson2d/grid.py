@@ -158,27 +158,12 @@ def geodesic_dist_field(grid, x0=(0, 0)):
     return np.sqrt(d1[:, None] ** 2 + d2[None, :] ** 2)
 
 
-def dft_forward(grid, u):
-    """Fourier coefficients u_hat(k) = n^-2 sum_x u(x) e^{-i k.x}, FFT layout."""
-    u = grid.check_field(u)
-    return np.fft.fft2(u) / (grid.n * grid.n)
-
-
-def dft_inverse(grid, u_hat):
-    """Inverse of :func:`dft_forward`; returns the real field."""
-    u_hat = np.asarray(u_hat, dtype=complex)
-    if u_hat.shape != (grid.n, grid.n):
-        raise GridMismatchError(
-            f"coefficient shape {u_hat.shape} does not match grid"
-        )
-    return np.real(np.fft.ifft2(u_hat * (grid.n * grid.n)))
-
-
-def hermitian_symmetry_defect(grid, u_hat):
-    """Relative defect of coeff(-k) = conj(coeff(k)); ~0 for real fields."""
-    flipped = np.conj(np.roll(np.flip(u_hat, axis=(0, 1)), 1, axis=(0, 1)))
-    scale = np.max(np.abs(u_hat)) or 1.0
-    return float(np.max(np.abs(u_hat - flipped)) / scale)
+def fourier_multiply(grid, u, symbol):
+    """irfft2(rfft2(u) * symbol), ``symbol`` on the rfft2 half-spectrum of
+    shape (n, n//2 + 1): the package's one Fourier multiplier on fields."""
+    u_hat = np.fft.rfft2(u)
+    u_hat *= symbol
+    return np.fft.irfft2(u_hat, s=(grid.n, grid.n))
 
 
 def convolve(grid, u, w):
@@ -189,8 +174,7 @@ def convolve(grid, u, w):
 def convolve_spectrum(grid, u, w_hat):
     """convolve(grid, u, w) from w's half-spectrum w_hat = rfft2(w)."""
     u = grid.check_field(u)
-    return grid.cell_measure * np.fft.irfft2(
-        np.fft.rfft2(u) * w_hat, s=(grid.n, grid.n))
+    return grid.cell_measure * fourier_multiply(grid, u, w_hat)
 
 
 def dirac(grid, x0):

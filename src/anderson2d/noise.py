@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TorusGrid, dft_forward, dft_inverse
+from .grid import TorusGrid, fourier_multiply
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -34,12 +34,13 @@ def sample_white_noise(grid, seed):
 
 
 def mollify(xi, cutoff):
-    """Zero all spectral modes with |k|_inf > cutoff; cutoff = n/2 is the
-    identity."""
+    """Zero all spectral modes with |k|_inf > cutoff by fourier_multiply
+    with the 0/1 mask |k1|, |k2| <= cutoff on the half-spectrum; cutoff =
+    n/2 is the identity up to rounding."""
     grid = xi.grid
     if not (0 <= cutoff <= grid.n // 2):
         raise ValueError(f"cutoff must lie in [0, {grid.n // 2}], got {cutoff}")
-    coeff = dft_forward(grid, xi.field)
-    keep = (np.abs(grid.k1) <= cutoff) & (np.abs(grid.k2) <= cutoff)
-    field = dft_inverse(grid, np.where(keep, coeff, 0.0))
+    keep = ((np.abs(grid.k1) <= cutoff)
+            & (np.abs(grid.k2[:, :grid.n // 2 + 1]) <= cutoff))
+    field = fourier_multiply(grid, xi.field, keep)
     return NoiseSample(grid=grid, field=field, seed=xi.seed, cutoff=int(cutoff))

@@ -7,11 +7,13 @@ Green function used throughout.
 
 Every grid size runs the same matrix-free path: H is applied as the FFT
 Laplacian plus a diagonal, and the one preconditioner is (-Delta + sigma)^{-1}
-applied by FFT.  Both use real FFTs (rfft2/irfft2) and the grid's cached
-half-spectrum symbol.  Eigenpairs come from block LOBPCG, shifted solves from
-preconditioned CG, and the semigroup from a Chebyshev expansion whose one
-recurrence T_k(X) u serves any number of times at once.  Each solve checks
-its true residual and raises SolverError when it misses.
+applied by FFT.  Both are grid.fourier_multiply, the package's one
+rfft2 -> symbol -> irfft2 routine, with a half-spectrum symbol: the grid's
+cached -(k1^2 + k2^2) and 1 / (sigma + k1^2 + k2^2).  Only the dense_h
+oracle uses the complex fft2/ifft2.  Eigenpairs come from block LOBPCG,
+shifted solves from preconditioned CG, and the semigroup from a Chebyshev
+expansion whose one recurrence T_k(X) u serves any number of times at once.
+Each solve checks its true residual and raises SolverError when it misses.
 
 A shifted solve costs one real-FFT pair per CG iteration, not two: the
 operator splits as -H_c + lam = (-Delta + sigma) + d with d a diagonal
@@ -27,7 +29,7 @@ import warnings
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import dirac, geodesic_dist_field, inner_l2, norm_l2
+from .grid import dirac, fourier_multiply, geodesic_dist_field, inner_l2, norm_l2
 from .noise import NoiseSample
 
 
@@ -37,9 +39,7 @@ class SolverError(RuntimeError):
 
 def laplacian_apply(grid, u):
     """Spectral Laplacian: multiplier -(k1^2 + k2^2), by real FFT."""
-    u_hat = np.fft.rfft2(u)
-    u_hat *= grid.lap_multiplier_half
-    return np.fft.irfft2(u_hat, s=(grid.n, grid.n))
+    return fourier_multiply(grid, u, grid.lap_multiplier_half)
 
 
 def flat_operator(grid, apply):
@@ -53,14 +53,7 @@ def flat_operator(grid, apply):
 def _shifted_laplacian_inverse(grid, sigma):
     """The field map u -> (-Delta + sigma)^{-1} u, sigma > 0, by real FFT."""
     inv_sym = 1.0 / (sigma - grid.lap_multiplier_half)
-    shape = (grid.n, grid.n)
-
-    def apply(u):
-        u_hat = np.fft.rfft2(u)
-        u_hat *= inv_sym
-        return np.fft.irfft2(u_hat, s=shape)
-
-    return apply
+    return lambda u: fourier_multiply(grid, u, inv_sym)
 
 
 def fft_preconditioner(grid, sigma):
@@ -202,8 +195,8 @@ class AndersonOperator:
         direction p_k = z + beta p_{k-1} is r + d z + beta A p_{k-1},
         because P^{-1} z = r; so each iteration costs one real-FFT pair (the
         preconditioner) instead of two.  The returned u satisfies
-        ||(-H_c+lam)u - rhs|| <= 1e-9 ||rhs||; otherwise SolverError is
-        raised.
+        ||(-H_c+lam)u - rhs|| <= 1e-9 ||rhs||; otherwise, and for a
+        right-hand side whose norm is not finite, SolverError is raised.
         """
         if np.min(lam) < 0:
             raise ValueError(f"resolvent shift must be >= 0, got min {np.min(lam)}")
@@ -212,6 +205,8 @@ class AndersonOperator:
         rhs_norm = norm_l2(grid, rhs)
         if rhs_norm == 0.0:
             return grid.zeros()
+        if not np.isfinite(rhs_norm):
+            raise SolverError(f"resolvent right-hand side has norm {rhs_norm}")
         sigma = self.c + float(np.mean(lam))
         precondition = _shifted_laplacian_inverse(grid, sigma)
         d = (self.c - sigma) + lam - self.xi
@@ -236,7 +231,7 @@ class AndersonOperator:
             rho_prev = rho
             iters += 1
         res = norm_l2(grid, self.apply_minus_hc(u, lam) - rhs)
-        if res > 1e-9 * rhs_norm:
+        if not res <= 1e-9 * rhs_norm:
             raise SolverError(
                 f"resolvent CG stalled after {iters} iterations: residual "
                 f"{res:.3e} vs rhs norm {rhs_norm:.3e}"
@@ -263,7 +258,7 @@ class AndersonOperator:
             raise ValueError(f"heat times must be positive, a number or a "
                              f"non-empty 1-D sequence, got {t!r}")
         u = self.grid.check_field(u)
-        lo = float(self.grid.lap_multiplier.min() + self.xi.min()) - self.c
+        lo = float(self.grid.lap_multiplier_half.min() + self.xi.min()) - self.c
         hi = self.lambda_max_h - self.c
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         coeffs = [chebyshev_heat_coefficients(s * half) for s in times.flat]

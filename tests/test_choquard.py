@@ -45,6 +45,10 @@ def test_problem_validation(grid8):
     with pytest.raises(ValueError):
         ChoquardProblem(op=op, a=constant(grid8, 1.0),
                         w=-np.ones((8, 8)), p=0.5)
+    w = -np.ones((8, 8))
+    w[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ChoquardProblem(op=op, a=constant(grid8, 1.0), w=w)
 
 
 def test_lambda_trivial(grid8):
@@ -142,6 +146,14 @@ def test_selfdual_value_nonnegative_random(grid8):
     for _ in range(100):
         u = rng.standard_normal((8, 8))
         assert a2.selfdual_value(prob, u) >= -1e-8
+
+
+def test_selfdual_value_refuses_a_nan_field(grid8):
+    prob = zero_choquard(grid8)
+    u = np.ones((8, 8))
+    u[1, 2] = np.nan
+    with pytest.raises(a2.SelfDualInconsistencyError):
+        a2.selfdual_value(prob, u)
 
 
 def test_selfdual_residual_identity_dense_oracle(grid8):

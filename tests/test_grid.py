@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,35 +86,66 @@ def test_geodesic_dist(grid16):
         a2.geodesic_dist(g, (0, 0), (16, 0))
 
 
-def test_dft_round_trip_and_modes(grid16):
+def test_fourier_multiply_identity_and_mode_mask(grid16):
     g = grid16
-    one = np.ones((g.n, g.n))
-    hat = a2.dft_forward(g, one)
-    assert hat[0, 0] == pytest.approx(1.0)
-    assert np.max(np.abs(hat.ravel()[1:])) <= 1e-14
-    c1 = np.cos(g.x1 + 0 * g.x2)
-    hat = a2.dft_forward(g, c1)
-    assert hat[1, 0] == pytest.approx(0.5, abs=1e-13)
-    assert hat[-1, 0] == pytest.approx(0.5, abs=1e-13)
-
     u = random_field(g, 3)
-    back = a2.dft_inverse(g, a2.dft_forward(g, u))
+    ones = np.ones((g.n, g.n // 2 + 1))
+    back = a2.fourier_multiply(g, u, ones)
     assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
+    # the mask |k|_inf <= 1 keeps cos x1 and removes cos 2 x1
+    half_k2 = g.k2[:, :g.n // 2 + 1]
+    mask = (np.abs(g.k1) <= 1) & (np.abs(half_k2) <= 1)
+    c1 = np.cos(g.x1 + 0 * g.x2)
+    c2 = np.cos(2 * g.x1 + 0 * g.x2)
+    assert np.max(np.abs(a2.fourier_multiply(g, c1, mask) - c1)) <= 1e-12
+    assert np.max(np.abs(a2.fourier_multiply(g, c2, mask))) <= 1e-12
 
 
-def test_hermitian_symmetry(grid16):
-    u = random_field(grid16, 11)
-    hat = a2.dft_forward(grid16, u)
-    from anderson2d.grid import hermitian_symmetry_defect
-    assert hermitian_symmetry_defect(grid16, hat) <= 1e-12
+def _fft_call_sites(names):
+    """{name: {"module.function"}} for each use of numpy.fft's ``names`` in
+    the package source, as an attribute or an import, attributed to the
+    innermost enclosing def or class."""
+    sites = {name: set() for name in names}
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if node.attr in sites:
+                sites[node.attr].add(".".join(self.scope))
+            self.generic_visit(node)
+
+        def visit_alias(self, node):
+            if node.name in sites:
+                sites[node.name].add(".".join(self.scope))
+
+    for path in sorted(Path(a2.__file__).parent.glob("*.py")):
+        Visitor(path.stem).visit(ast.parse(path.read_text()))
+    return sites
+
+
+def test_every_field_fft_goes_through_fourier_multiply():
+    sites = _fft_call_sites(("irfft2", "fft2", "ifft2"))
+    assert sites["irfft2"] == {"grid.fourier_multiply"}
+    dense = {"operator.AndersonOperator.dense_h"}
+    assert sites["fft2"] == dense and sites["ifft2"] == dense
 
 
 def test_parseval(grid16):
     g = grid16
     u, v = random_field(g, 1), random_field(g, 2)
     lhs = a2.inner_l2(g, u, v)
-    rhs = 4 * PI**2 * np.real(np.sum(a2.dft_forward(g, u)
-                                     * np.conj(a2.dft_forward(g, v))))
+    u_hat = np.fft.fft2(u) / (g.n * g.n)
+    v_hat = np.fft.fft2(v) / (g.n * g.n)
+    rhs = 4 * PI**2 * np.real(np.sum(u_hat * np.conj(v_hat)))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

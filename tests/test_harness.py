@@ -177,7 +177,7 @@ def test_sample_noise_cutoff(tmp_path):
     run(RunConfig(command="sample-noise", n=16, seed=5, cutoff=3,
                   out=str(tmp_path)))
     g, field = a2.load_field(str(tmp_path / "noise.f64"))
-    coeffs = a2.dft_forward(g, field)
+    coeffs = np.fft.fft2(field) / (g.n * g.n)
     k_inf = np.maximum(np.abs(g.k1), np.abs(g.k2))
     assert np.max(np.abs(coeffs[k_inf > 3])) <= 1e-14 * np.max(np.abs(coeffs))
 
@@ -219,6 +219,56 @@ def test_kato_check_run(tmp_path):
     timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
     assert set(timings) == {"operator", "kato_log", "kato_heat", "resolvent"}
     assert all(t >= 0 for t in timings.values())
+
+
+def test_diagnose_heat_cli_run(tmp_path):
+    # n = 84 is the smallest grid whose Green band [4h, 0.3] is non-empty
+    argv = ["diagnose-heat", "--n", "84", "--seed", "1", "--times", "0.05,0.1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "a")]) == 0
+    rep = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert set(rep) == {"a1", "a2", "alpha", "epsilon", "min_kernel",
+                        "negative_sites", "green_ratio_low",
+                        "green_ratio_high"}
+    scalars = [v for k, v in rep.items() if k != "negative_sites"]
+    assert all(np.isfinite(scalars))
+    assert 0 < rep["green_ratio_low"] <= rep["green_ratio_high"]
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert set(manifest["timings"]) == {"operator", "heat", "green"}
+    assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "report.json").read_bytes()
+            == (tmp_path / "b" / "report.json").read_bytes())
+
+
+def test_file_backed_specs(tmp_path, capsys):
+    g16 = a2.TorusGrid(16)
+    a2.save_field(g16, a2.spike(g16, 2).field, tmp_path / "spike.f64")
+    for name, spec in (("file", str(tmp_path / "spike.f64")),
+                       ("builtin", "builtin:spike:2")):
+        assert cli.main(["spectrum", "--n", "16", "--potential", spec,
+                         "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "file" / "spectrum.json").read_bytes()
+            == (tmp_path / "builtin" / "spectrum.json").read_bytes())
+
+    g8 = a2.TorusGrid(8)
+    a2.save_field(g8, g8.zeros(), tmp_path / "small.f64")
+    assert cli.main(["spectrum", "--n", "16", "--potential",
+                     str(tmp_path / "small.f64"),
+                     "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "potential" in err
+
+    a2.save_field(g8, -np.ones((8, 8)), tmp_path / "w.f64")
+    for name, spec in (("wfile", str(tmp_path / "w.f64")),
+                       ("wbuiltin", "builtin:negconst:1")):
+        assert cli.main(["solve-choquard", "--n", "8", "--init", "random:5",
+                         "--w", spec, "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "wfile" / "result_0.json").read_bytes()
+            == (tmp_path / "wbuiltin" / "result_0.json").read_bytes())
+
+    assert cli.main(["solve-choquard", "--n", "8", "--init", "zero",
+                     "--out", str(tmp_path / "zero")]) == 0
+    res = json.loads((tmp_path / "zero" / "result_0.json").read_text())
+    assert res["iterations"] == 0
 
 
 def test_solve_mp_run(tmp_path):
@@ -387,10 +437,12 @@ def test_cli_sweep_help_example_parses(capsys):
     (["solve-mp", "--nonlinearity", "cube"], "nonlinearity"),
     (["solve-mp", "--nonlinearity", "pow:3"], "nonlinearity"),
     (["solve-choquard", "--init", "random:x"], "init"),
+    (["solve-choquard", "--init", "bogus"], "init"),
     (["solve-choquard", "--w", "builtin:negconst:x"], "w_spec"),
     (["solve-choquard", "--w", "MISSING.f64"], "w_spec"),
     (["solve-choquard", "--p", "0.5"], "choquard problem"),
     (["solve-choquard", "--a", "builtin:const:-1"], "choquard problem"),
+    (["solve-choquard", "--w", "builtin:negconst:nan"], "choquard problem"),
     (["sample-noise", "--cutoff", "-1"], "cutoff"),
     (["sample-noise", "--cutoff", "5"], "cutoff"),
     (["kato-check", "--sweep", "r=abc"], "'r'"),

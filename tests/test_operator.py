@@ -132,6 +132,12 @@ def test_resolvent_solve(grid16, op16_zero, grid8, op8):
 
     with pytest.raises(ValueError):
         op8.resolvent_solve(-1.0, rhs)
+    # a NaN or infinite entry fails loudly rather than returning zeros
+    for bad in (np.nan, np.inf):
+        bad_rhs = rhs.copy()
+        bad_rhs[3, 4] = bad
+        with pytest.raises(a2.SolverError):
+            op8.resolvent_solve(0.0, bad_rhs)
 
     # a field shift: the dense oracle, zero rhs gives zeros, and one
     # negative entry is refused
