@@ -280,8 +280,8 @@ def run(config):
         a = inputs["a"]
         rows_r = clock("kato_log", lambda: [
             (r, spectral.kato_modulus_log(grid, a, r)) for r in config.sweep_r])
-        rows_T = clock("kato_heat", lambda: [
-            (T, spectral.kato_modulus_heat(op, a, T)) for T in config.sweep_T])
+        rows_T = clock("kato_heat", lambda: list(zip(
+            config.sweep_T, spectral.kato_modulus_heat(op, a, config.sweep_T))))
         rows_l = clock("resolvent", lambda: [
             (lam, spectral.resolvent_sup_norm(op, a, lam))
             for lam in config.sweep_lambda])

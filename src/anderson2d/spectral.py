@@ -68,18 +68,26 @@ def kato_modulus_log(grid, a, r):
 def kato_modulus_heat(op, a, T):
     """sup_x int_0^T (e^{s H_c} |a|)(x) ds on a 16-node geometric time grid.
 
-    One heat_apply call evaluates all 16 nodes from one Chebyshev recurrence.
+    T is one horizon or a 1-D sequence of them; a sequence gives a list of
+    moduli, each equal bit for bit to a call with that horizon alone.  One
+    heat_apply call evaluates the nodes of every horizon from one
+    Chebyshev recurrence.
     """
-    if not (0 < T <= 1):
-        raise ValueError(f"horizon must lie in (0, 1], got {T}")
+    horizons = np.asarray(T, dtype=float)
+    if (horizons.ndim > 1 or horizons.size == 0
+            or not np.all((0 < horizons) & (horizons <= 1))):
+        raise ValueError(f"horizons must lie in (0, 1], got {T!r}")
     grid = op.grid
     a = grid.check_field(_as_field(a))
-    s_nodes = np.geomspace(T / 256.0, T, 16)
-    profiles = op.heat_apply(s_nodes, np.abs(a))
-    integral = np.trapezoid(profiles, s_nodes, axis=0)
-    # leading [0, T/256] sliver: integrand is continuous at 0+ with value |a|
-    integral += s_nodes[0] * profiles[0]
-    return float(integral.max())
+    s_nodes = [np.geomspace(h / 256.0, h, 16) for h in horizons.flat]
+    profiles = op.heat_apply(np.concatenate(s_nodes), np.abs(a))
+    moduli = []
+    for s, p in zip(s_nodes, np.split(profiles, len(s_nodes))):
+        integral = np.trapezoid(p, s, axis=0)
+        # leading [0, T/256] sliver: integrand is continuous at 0+ with value |a|
+        integral += s[0] * p[0]
+        moduli.append(float(integral.max()))
+    return moduli if horizons.ndim else moduli[0]
 
 
 def resolvent_sup_norm(op, a, lam):

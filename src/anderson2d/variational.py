@@ -1,14 +1,16 @@
 """Critical points of the energy functional for -H_c u + a u = f(., u).
 
 The functional is Phi(u) = 1/2 ||u||_E^2 + int (1/2 a u^2 - F(., u)); its
-critical points are the weak solutions.  Three searches are provided: a
-Picard fixed-point baseline (no convergence guarantee, diagnostic only),
-descent on the Nehari manifold for the case with no non-positive form
-modes (m = -1), and deflated Newton, whose step is a scaled MINRES solve,
-seeded along eigenfield directions.
-The mountain-pass search returns a local minimum of Phi on the Nehari
-manifold, reached from e_0; its level bounds the least positive level
-from above but is not the least in general (see `mountain_pass_solve`).
+critical points are the weak solutions.  Besides a Picard fixed-point
+baseline (no convergence guarantee, diagnostic only), both saddle searches
+draw from one candidate order, `_candidates`: when no form mode is
+non-positive (m = -1), descent on the Nehari manifold from each eigenfield
+with a Newton polish; then deflated Newton, whose step is a scaled MINRES
+solve, seeded along eigenfield directions.  The mountain-pass search
+returns the first acceptable candidate, normally the local minimum of Phi
+on the Nehari manifold reached from e_0; its level bounds the least
+positive level from above but is not the least in general (see
+`mountain_pass_solve`).  The fountain search collects distinct levels.
 Acceptance of a candidate is residual-based and method-agnostic.
 """
 
@@ -253,22 +255,22 @@ def picard_baseline(problem, u0=None, max_iter=200):
                        converged=False, trace=trace)
 
 
-def _deflation_factor(grid, u, roots, rho=0.5, with_grad=False):
-    """Multiplicative deflation penalty M against +/- each root (and the
-    nodal gradient of log M when ``with_grad``).  Within L^2 distance rho
-    of a root the factor grows like 1/d^2 (shifted so it is continuous,
-    = 1 at distance rho); outside it is 1."""
+def _deflation_factor(grid, u, roots):
+    """Multiplicative deflation penalty M against +/- each root and the
+    nodal gradient of log M.  Within L^2 distance 0.5 of a root the factor
+    grows like 1/d^2 (shifted so it is continuous, = 1 at distance 0.5);
+    outside it is 1."""
     M = 1.0
     grad = np.zeros_like(u)
     for root in roots:
         for s in (1.0, -1.0):
             diff = u - s * root
             d2 = max(inner_l2(grid, diff, diff), 1e-30)
-            if d2 < rho * rho:
-                factor = 1.0 + 1.0 / d2 - 1.0 / (rho * rho)
+            if d2 < 0.25:  # 0.5^2; 4 = 1 / 0.5^2 below
+                factor = 1.0 + 1.0 / d2 - 4.0
                 M *= factor
                 grad += (-2.0 * grid.cell_measure / (d2 * d2 * factor)) * diff
-    return (M, grad) if with_grad else M
+    return M, grad
 
 
 def _newton_step(problem, u, R, Mgrad):
@@ -316,12 +318,12 @@ def newton_solve(problem, u0, tol=1e-6, deflate=()):
         res = norm_l2(grid, R)
         if res <= tol * (1.0 + norm_l2(grid, u)):
             return u, it
-        M, Mgrad = _deflation_factor(grid, u, deflate, with_grad=True)
+        M, Mgrad = _deflation_factor(grid, u, deflate)
         step = _newton_step(problem, u, R, Mgrad)
         s = 1.0
         for _ in range(30):
             cand = u + s * step
-            Mc = _deflation_factor(grid, cand, deflate)
+            Mc, _ = _deflation_factor(grid, cand, deflate)
             gc = norm_l2(grid, Mc * residual(problem, cand))
             if gc < (1.0 - 1e-4 * s) * M * res:
                 u = cand
@@ -480,80 +482,91 @@ def _newton_from_direction(problem, spectrum, j, roots, tol, amp=1.0,
         return None
 
 
+def _candidates(problem, spectrum, tol, max_iter, rng, found, trace=None):
+    """The candidate order of both saddle searches, drawn lazily.
+
+    Yields (u, iterations, start_direction, method) for each start whose
+    Newton run converges.  With m = -1, first `nehari_minimize` (at most
+    ``max_iter`` steps, appending to ``trace``) from each eigenfield in
+    turn with a Newton polish deflated against zero ("mountain-pass").
+    Then `_newton_from_direction` starts deflated against zero and +/-
+    each result in ``found``, which the caller may extend between draws
+    ("deflated-newton"): each eigenfield above the non-positive block at
+    amplitude 1, then at 2 and at 0.5 with a 5% perturbation, then 60
+    amplitudes drawn from ``rng`` in [0.3, 3] with a 10% perturbation.
+    """
+    zero = [problem.grid.zeros()]
+    if spectrum.m == -1:
+        for j, e in enumerate(spectrum.eigenfields):
+            u0, its = nehari_minimize(problem, e, tol, max_iter, trace)
+            try:
+                u, its2 = newton_solve(problem, u0, tol=tol, deflate=zero)
+            except SolverError:
+                continue
+            yield u, its + its2, j, "mountain-pass"
+    first = spectrum.m + 1
+    directions = range(first, len(spectrum.eigenfields))
+    starts = [(j, 1.0, 0.0) for j in directions]
+    starts += [s for j in directions for s in ((j, 2.0, 0.0), (j, 0.5, 0.05))]
+    # random amplitudes are drawn only when their start is reached
+    starts += [(first + k % max(len(directions), 1), None, 0.1)
+               for k in range(60)]
+    for j, amp, pert in starts:
+        amp = float(rng.uniform(0.3, 3.0)) if amp is None else amp
+        start = _newton_from_direction(problem, spectrum, j,
+                                       zero + [r.u for r in found], tol, amp,
+                                       pert, rng)
+        if start is not None:
+            yield (*start, j, "deflated-newton")
+
+
 def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
     """Saddle search for a nontrivial critical point with Phi(u) > 0.
 
-    The low spectrum of -H_c + a comes from `eigendecompose`.
-    With m = -1, Nehari descent from e_0 (at most ``max_iter`` steps) and
-    a Newton polish return a local minimum of Phi on the Nehari manifold.
+    Returns the first candidate of `_candidates`, on the spectrum of one
+    `eigendecompose` call, that passes the relative residual test and has
+    ||u||_{L^2} >= 1e-3 and Phi > 0; ``max_iter`` caps each Nehari descent
+    and ``seed`` seeds the perturbations and the geometry witness (on the
+    unit E-sphere).  With m = -1 this is normally Nehari descent from e_0
+    and its Newton polish: a local minimum of Phi on the Nehari manifold.
     Its level bounds the least positive level from above but is not the
-    least in general: with zero noise on 16^2, e_0 gives u = 1 at pi^2,
-    yet descent from a Gaussian bump reaches a solution at Phi = 5.7515.
-    With m >= 0, or if that fails, 10 `_newton_from_direction` starts
-    cycle through the first three positive-mode eigenfields, all but the
-    first perturbed by 5%.  The geometry witness uses the unit E-sphere.
-    The result passes the relative residual test and ||u||_{L^2} >= 1e-3.
+    least in general: with zero noise on 16^2, e_0 gives u = 1 at pi^2, yet
+    descent from a Gaussian bump reaches a solution at Phi = 5.7515.  When
+    e_0's polish fails, descent from e_1, e_2, ... is tried before any
+    deflated-Newton start; with m >= 0 only deflated-Newton starts run.
     """
-    op, grid = problem.op, problem.grid
-    spectrum = eigendecompose(op, problem.a, count=8)
-    # the search needs several directions above the non-positive block
-    while (spectrum.m + 4 > len(spectrum.eigenvalues)
-           and len(spectrum.eigenvalues) < grid.n * grid.n):
-        spectrum = eigendecompose(op, problem.a,
-                                  count=min(spectrum.m + 8, grid.n * grid.n))
-    m = spectrum.m
+    spectrum = eigendecompose(problem.op, problem.a, count=8)
     trace = []
-    geometry = mountain_pass_geometry(problem, spectrum, seed=seed)
+    info = {"geometry": mountain_pass_geometry(problem, spectrum, seed=seed),
+            "m": spectrum.m}
     rng = np.random.default_rng(seed)
-
-    def accept(u, its, method):
+    for u, its, _, method in _candidates(problem, spectrum, tol, max_iter,
+                                         rng, [], trace):
         res = _result_from(problem, u, its, method, trace=trace, seed=seed,
-                           info={"geometry": geometry, "m": m})
-        size = norm_l2(grid, u)
-        ok = (res.residual_l2 <= tol * (1.0 + size) and size >= 1e-3
-              and res.phi > 0)
-        return res if ok else None
-
-    if m == -1:
-        u_coarse, its = nehari_minimize(problem, spectrum.eigenfields[0],
-                                        tol, max_iter, trace)
-        try:
-            u, its2 = newton_solve(problem, u_coarse, tol=tol, deflate=[grid.zeros()])
-            res = accept(u, its + its2, "mountain-pass")
-            if res is not None:
-                return res
-        except SolverError:
-            pass
-        # fall through to eigen-direction Newton starts as a rescue
-    for attempt in range(10):
-        start = _newton_from_direction(
-            problem, spectrum, max(m + 1, 0) + attempt % 3, [grid.zeros()],
-            tol, pert=0.05 if attempt > 0 else 0.0, rng=rng)
-        if start is not None:
-            res = accept(*start, "deflated-newton")
-            if res is not None:
-                return res
+                           info=info)
+        size = norm_l2(problem.grid, u)
+        if (res.residual_l2 <= tol * (1.0 + size) and size >= 1e-3
+                and res.phi > 0):
+            return res
     raise NotFoundError("no nontrivial positive-energy critical point found")
 
 
 def fountain_solve(problem, n_solutions, tol=1e-6, max_iter=5000, seed=0):
     """Multi-solution sweep for odd nonlinearities.
 
-    The low spectrum of -H_c + a comes from `eigendecompose`.
-    With m = -1, a Nehari phase runs `nehari_minimize` (at most
-    ``max_iter`` steps) and a Newton polish from each eigenfield in turn.
-    `_newton_from_direction` starts follow, deflated against zero and the
-    +/- pair of every accepted solution: each eigenfield above the
-    non-positive block at amplitude 1, then at 2 and at 0.5 with a 5%
-    perturbation, then 60 seeded amplitudes in [0.3, 3] with a 10%
-    perturbation.  As in the fountain theorem, what is counted are critical
-    levels: the results have strictly increasing, pairwise distinct
-    energies Phi, and are pairwise distinct in the sign-identified L^2
-    distance.  A converged candidate whose Phi lies within a relative 1e-8
-    of an accepted level is rejected; on symmetric problems these are
-    symmetry images (e.g. torus translations and reflections) that
-    deflation against +/- u cannot separate.  Every returned result lists
-    them in ``info["rejected_same_level"]`` as ``{"phi", "start_direction",
+    The low spectrum of -H_c + a comes from `eigendecompose`.  Candidates
+    come in the order of `_candidates` (Nehari descent steps capped at
+    ``max_iter``, perturbations seeded by ``seed``), the Newton starts
+    deflated against every accepted solution, and the sweep stops drawing
+    them once ``n_solutions`` levels are accepted.  As in the fountain
+    theorem, what is counted are critical levels: the results have
+    strictly increasing, pairwise distinct energies Phi, and are pairwise
+    distinct in the sign-identified L^2 distance.  A converged candidate
+    whose Phi lies within a relative 1e-8 of an accepted level is
+    rejected; on symmetric problems these are symmetry images (e.g. torus
+    translations and reflections) that deflation against +/- u cannot
+    separate.  Every returned result lists them in
+    ``info["rejected_same_level"]`` as ``{"phi", "start_direction",
     "matched_phi"}`` entries.  If fewer than ``n_solutions`` levels are
     found, every result carries an ``info["warning"]``.
     """
@@ -563,58 +576,30 @@ def fountain_solve(problem, n_solutions, tol=1e-6, max_iter=5000, seed=0):
     spectrum = eigendecompose(op, problem.a,
                               count=min(max(12, n_solutions + 8),
                                         grid.n * grid.n))
-    m = spectrum.m
-    rng = np.random.default_rng(seed)
     found: List[SolveResult] = []
     rejected: List[dict] = []
-
-    def distinct(u):
-        return norm_l2(grid, u) >= 1e-3 and all(
-            min(norm_l2(grid, u - r.u), norm_l2(grid, u + r.u)) > 1e-2
-            for r in found)
-
-    def try_accept(u, its, j):
-        if not distinct(u):
-            return
-        res = _result_from(problem, u, its, "fountain", seed=seed,
-                           info={"start_direction": int(j)})
-        if res.residual_l2 > tol * (1.0 + norm_l2(grid, u)):
-            return
-        for r in found:
-            if abs(res.phi - r.phi) <= 1e-8 * max(1.0, abs(r.phi)):
-                rejected.append({"phi": float(res.phi),
-                                 "start_direction": int(j),
-                                 "matched_phi": float(r.phi)})
-                return
-        found.append(res)
-
-    if m == -1:
-        for j, e in enumerate(spectrum.eigenfields):
-            if len(found) >= n_solutions:
-                break
-            u0, its = nehari_minimize(problem, e, tol=tol, max_iter=max_iter)
-            try:
-                u, its2 = newton_solve(problem, u0, tol=tol)
-            except SolverError:
-                continue
-            try_accept(u, its + its2, j)
-
-    first = max(m + 1, 0)
-    directions = range(first, len(spectrum.eigenfields))
-    starts = [(j, 1.0, 0.0) for j in directions]
-    starts += [s for j in directions for s in ((j, 2.0, 0.0), (j, 0.5, 0.05))]
-    # random amplitudes are drawn only when their start is reached
-    starts += [(first + k % max(len(directions), 1), None, 0.1)
-               for k in range(60)]
-    for j, amp, pert in starts:
-        if len(found) >= n_solutions:
+    candidates = _candidates(problem, spectrum, tol, max_iter,
+                             np.random.default_rng(seed), found)
+    while len(found) < n_solutions:
+        u, its, j, _ = next(candidates, (None,) * 4)
+        if u is None:
             break
-        amp = float(rng.uniform(0.3, 3.0)) if amp is None else amp
-        roots = [grid.zeros()] + [r.u for r in found]
-        start = _newton_from_direction(problem, spectrum, j, roots, tol, amp,
-                                       pert, rng)
-        if start is not None:
-            try_accept(*start, j)
+        if not (norm_l2(grid, u) >= 1e-3 and all(
+                min(norm_l2(grid, u - r.u), norm_l2(grid, u + r.u)) > 1e-2
+                for r in found)):
+            continue
+        res = _result_from(problem, u, its, "fountain", seed=seed,
+                           info={"start_direction": j})
+        if res.residual_l2 > tol * (1.0 + norm_l2(grid, u)):
+            continue
+        match = next((r for r in found
+                      if abs(res.phi - r.phi) <= 1e-8 * max(1.0, abs(r.phi))),
+                     None)
+        if match is None:
+            found.append(res)
+        else:
+            rejected.append({"phi": float(res.phi), "start_direction": j,
+                             "matched_phi": float(match.phi)})
     found.sort(key=lambda r: r.phi)
     for r in found:
         r.info["rejected_same_level"] = [dict(d) for d in rejected]

@@ -71,6 +71,22 @@ def test_kato_modulus_heat_runs_one_recurrence(op8, grid8, monkeypatch):
         assert len(calls) == len(coeff) - 1
 
 
+
+def test_kato_modulus_heat_sweeps_horizons_in_one_call(op8, grid8, monkeypatch):
+    # a sequence of horizons gives each horizon's modulus bit for bit, from
+    # one heat_apply call on the concatenated nodes
+    a = Potential(field=np.abs(random_field(grid8, 4)), declared_p=2.0)
+    single = [a2.kato_modulus_heat(op8, a, T) for T in (0.25, 0.125)]
+    calls = []
+    heat_apply = AndersonOperator.heat_apply
+    monkeypatch.setattr(AndersonOperator, "heat_apply",
+                        lambda self, t, u: calls.append(1)
+                        or heat_apply(self, t, u))
+    assert a2.kato_modulus_heat(op8, a, [0.25, 0.125]) == single
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        a2.kato_modulus_heat(op8, a, [0.5, 1.5])
+
 def test_resolvent_sup_norm(grid16, op16_zero, op8, grid8):
     one = constant(grid16, 1.0)
     for lam in (0.0, 1.0, 10.0):

@@ -171,11 +171,12 @@ def test_deflation_factor_properties(grid8):
     rng = np.random.default_rng(11)
     root = rng.standard_normal((8, 8))
     far = root + 10.0 * np.ones((8, 8))
-    assert _deflation_factor(grid8, far, [root], rho=0.5) == 1.0
+    M, Mgrad = _deflation_factor(grid8, far, [root])
+    assert M == 1.0 and not Mgrad.any()
     near = root + 1e-3 * np.ones((8, 8))
-    assert _deflation_factor(grid8, near, [root], rho=0.5) > 1e3
+    assert _deflation_factor(grid8, near, [root])[0] > 1e3
     # the +/- pair is deflated symmetrically
-    assert _deflation_factor(grid8, -near, [root], rho=0.5) > 1e3
+    assert _deflation_factor(grid8, -near, [root])[0] > 1e3
 
 
 def test_deflated_newton_avoids_known_root(grid16):
@@ -200,7 +201,7 @@ def test_deflated_step_matches_rank_one_jacobian_oracle(grid8, op8):
     root = random_field(grid8, 32)
     w = random_field(grid8, 33)
     u = root + 0.2 * w / a2.norm_l2(grid8, w)
-    M, Mgrad = _deflation_factor(grid8, u, [root], rho=0.5, with_grad=True)
+    M, Mgrad = _deflation_factor(grid8, u, [root])
     assert M > 1.0
     R = a2.residual(prob, u)
     J = -dense_h_oracle(grid8, op8.xi) + np.diag(
@@ -346,6 +347,50 @@ def test_fountain_deflated_newton_levels(grid16):
     for s in sols:
         assert s.residual_l2 <= 1e-6 * (1 + a2.norm_l2(grid16, s.u))
 
+
+
+@pytest.mark.parametrize("noise_seed, a", [(None, 0.0), (4, -3.0)])
+def test_mountain_pass_level_is_the_fountains_first(grid16, noise_seed, a):
+    # both searches draw from one candidate order: with m = -1 (zero noise)
+    # and with m >= 0 (a = -3) the first accepted candidate is the same
+    xi = grid16.zeros() if noise_seed is None else a2.sample_white_noise(
+        grid16, noise_seed)
+    prob = a2.AndersonProblem(op=a2.AndersonOperator(grid16, xi),
+                              a=constant(grid16, a), nl=a2.pow3())
+    mp = a2.mountain_pass_solve(prob)
+    assert mp.phi == pytest.approx(a2.fountain_solve(prob, 1)[0].phi,
+                                   rel=1e-12)
+    assert mp.info["m"] == (-1 if noise_seed is None else 5)
+
+
+def test_mountain_pass_descends_from_e1_when_the_e0_polish_fails(
+        grid16, monkeypatch):
+    # zero noise: with the polish from e_0 forced to fail, Nehari descent
+    # from e_1 comes before any deflated-Newton start and ends at the
+    # x1-only solution
+    newton_solve, calls = variational.newton_solve, []
+
+    def first_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise a2.SolverError("forced failure")
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "newton_solve", first_call_fails)
+    res = a2.mountain_pass_solve(zero_problem(grid16), tol=1e-9, seed=0)
+    assert res.method == "mountain-pass"
+    assert abs(res.phi - 24.68404) <= 1e-5
+
+
+def test_fountain_draws_candidates_lazily(grid16, monkeypatch):
+    # the sweep stops at its third level: Nehari descent runs from
+    # e_0 .. e_5 only, not from every eigenfield
+    nehari, calls = variational.nehari_minimize, []
+    monkeypatch.setattr(variational, "nehari_minimize",
+                        lambda *args, **kwargs: calls.append(1)
+                        or nehari(*args, **kwargs))
+    sols = a2.fountain_solve(zero_problem(grid16), 3, tol=1e-9, seed=0)
+    assert len(calls) == max(s.info["start_direction"] for s in sols) + 1 == 6
 
 def test_fountain_requires_odd(grid16):
     even = Nonlinearity(f=lambda z: z**2, dfdz=lambda z: 2 * z,
