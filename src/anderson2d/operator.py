@@ -10,27 +10,33 @@ Laplacian plus a diagonal, and the one preconditioner is (-Delta + sigma)^{-1}
 applied by FFT.  Both are grid.fourier_multiply, the package's one
 rfft2 -> symbol -> irfft2 routine, with a half-spectrum symbol: the grid's
 cached -(k1^2 + k2^2) and 1 / (sigma + k1^2 + k2^2).  Only the dense_h
-oracle uses the complex fft2/ifft2.  Eigenpairs come from block LOBPCG,
-shifted solves from preconditioned CG, and the semigroup from a Chebyshev
-expansion whose one recurrence T_k(X) u serves any number of times at once.
-Each solve checks its true residual and raises SolverError when it misses.
+oracle uses the complex fft2/ifft2.  Eigenpairs come from the package's
+own block LOBPCG, shifted solves from preconditioned CG, and the semigroup
+from a Chebyshev expansion whose one recurrence T_k(X) u serves any number
+of times at once.  Each solve checks its true residual and raises
+SolverError when it misses.
 
-A shifted solve costs one real-FFT pair per CG iteration, not two: the
-operator splits as -H_c + lam = (-Delta + sigma) + d with d a diagonal
-field, so the product with the new search direction follows from the
-preconditioned residual z = (-Delta + sigma)^{-1} r as r + d z (Eisenstat
-1981) and only the preconditioner needs an FFT.
+Both Krylov solvers cost one real-FFT pair per vector and iteration, not
+two.  Every operator they meet splits as (-Delta + sigma) + d with d a
+diagonal field: -H_c + lam in CG, and -Delta + V (and the pencil's
+-Delta + V_B) in LOBPCG.  The product with a preconditioned residual
+z = (-Delta + sigma)^{-1} r is therefore r + d z (Eisenstat 1981), and
+only the preconditioner needs an FFT.  CG's other products follow from
+its two-term recurrence, LOBPCG's from its Rayleigh-Ritz recurrences.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .grid import dirac, fourier_multiply, geodesic_dist_field, inner_l2, norm_l2
 from .noise import NoiseSample
+
+
+# iteration cap of the LOBPCG eigen-solver
+MAX_ITERATIONS = 1000
 
 
 class SolverError(RuntimeError):
@@ -90,6 +96,100 @@ def _source_lattice(grid):
             for j in range(0, grid.n, step)][:4]
 
 
+def _b_of(block):
+    """B Y of a block (Y, A Y, B Y) of row fields; B Y is None when B = I."""
+    return block[0] if block[2] is None else block[2]
+
+
+def _combine(terms):
+    """Sum of C @ Y over (C, block) terms for Y, A Y and B Y alike; a C of
+    None stands for the identity."""
+    return tuple(None if terms[0][1][s] is None else
+                 sum(blk[s] if c is None else c @ blk[s] for c, blk in terms)
+                 for s in range(3))
+
+
+def _project_off(r, E):
+    """Rows of r minus their components along the orthonormal rows of E[0]."""
+    return r if E is None else r - (r @ E[0].T) @ E[0]
+
+
+def _b_orthonormalize(block):
+    """The rows of block[0] made B-orthonormal by one triangular map, applied
+    to Y, A Y and B Y; None when Y B Y^T is not positive definite."""
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(block[0] @ _b_of(block).T))
+    except np.linalg.LinAlgError:
+        return None
+    return tuple(None if z is None else inv @ z for z in block)
+
+
+def _rayleigh_ritz(blocks, k):
+    """Lowest k Ritz pairs of the pencil on the span of the blocks' rows, as
+    (values, coefficient columns); None when the B Gram matrix is not
+    positive definite."""
+    edges = np.cumsum([0] + [len(b[0]) for b in blocks])
+
+    def gram(product):
+        # eigh reads the upper triangle only, so the lower blocks stay unset
+        g = np.zeros((edges[-1], edges[-1]))
+        for i, bi in enumerate(blocks):
+            for j in range(i, len(blocks)):
+                g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] = (
+                    bi[0] @ product(blocks[j]).T)
+        return g
+
+    try:
+        vals, vecs = scipy.linalg.eigh(gram(lambda b: b[1]), gram(_b_of),
+                                       lower=False)
+    except np.linalg.LinAlgError:
+        return None
+    return vals[:k], vecs[:, :k]
+
+
+def _lobpcg(X, precondition, E):
+    """LOBPCG iterations from the block X = (X, A X, B X), constrained off
+    the block E (None for no constraints); returns the rows of the last X.
+    See AndersonOperator.lowest_eigenpairs."""
+    k = len(X[0])
+    X = _b_orthonormalize(X)
+    if X is None:
+        raise SolverError("LOBPCG start block is linearly dependent")
+    vals, coeff = _rayleigh_ritz([X], k)
+    X = _combine([(coeff.T, X)])
+    active = np.ones(k, dtype=bool)
+    P = None
+    for _ in range(MAX_ITERATIONS):
+        R = _project_off(X[1] - vals[:, None] * _b_of(X), E)
+        active &= np.linalg.norm(R, axis=1) > 1e-10
+        if not active.any():
+            break
+        W = precondition(R[active])
+        if E is not None:
+            W = _combine([(None, W), (-(W[0] @ E[0].T), E)])
+        W = _b_orthonormalize(_combine([(None, W), (-(W[0] @ _b_of(X).T), X)]))
+        if W is None:
+            break
+        blocks = [X, W]
+        if P is not None:
+            P = _b_orthonormalize(tuple(None if z is None else z[active]
+                                        for z in P))
+            if P is not None:
+                blocks.append(P)
+        ritz = _rayleigh_ritz(blocks, k)
+        if ritz is None and len(blocks) == 3:
+            blocks.pop()
+            ritz = _rayleigh_ritz(blocks, k)
+        if ritz is None:
+            break
+        vals, coeff = ritz
+        parts = np.split(coeff, np.cumsum([len(b[0]) for b in blocks])[:-1])
+        P = _combine([(c.T, b) for c, b in zip(parts[1:], blocks[1:])])
+        X = _combine([(parts[0].T, X), (None, P)])
+        del blocks, W  # the old basis is dead; free it before the next step
+    return X[0]
+
+
 class AndersonOperator:
     """Frozen noise sample with the positivity shift and solver routines.
 
@@ -106,7 +206,7 @@ class AndersonOperator:
             xi = xi - np.log(grid.n) / (2.0 * np.pi)
         self.xi = xi
         self.renormalize = renormalize
-        vals, _ = self.lowest_eigenpairs(lambda u: -self.apply_h(u), 1, sigma=1.0)
+        vals, _ = self.lowest_eigenpairs(-xi, 1, sigma=1.0)
         self.lambda_max_h = -float(vals[0])
         self.c = max(self.lambda_max_h, 0.0) + 1.0
 
@@ -144,44 +244,91 @@ class AndersonOperator:
 
     # -- eigenpairs ---------------------------------------------------------
 
-    def lowest_eigenpairs(self, apply_a, k, sigma, apply_b=None, start=None):
-        """Lowest k eigenpairs of the symmetric pencil (A, B), B = I by default.
+    def lowest_eigenpairs(self, potential, k, sigma, potential_b=None,
+                          constraints=None, start=None):
+        """Lowest k eigenpairs of the symmetric pencil (-Delta + V, B).
 
-        apply_a and apply_b map fields to fields; B must be positive
-        definite.  Block LOBPCG runs with the preconditioner
-        (-Delta + sigma)^{-1} from ``start``, an (n^2, k) block of flattened
-        fields, or from a seeded random block when none is given.  A start
-        must not lie in an invariant subspace that misses the lowest pairs:
+        ``potential`` is the field V of A = -Delta + V.  B = -Delta + V_B for
+        a field ``potential_b``, which must make B positive definite, and
+        B = I when it is None.  ``constraints``, a (m, n, n) stack of
+        L^2-orthonormal fields e_0..e_{m-1} spanning an A-invariant space,
+        restricts the pencil to their L^2-orthogonal complement.
+
+        Block LOBPCG (Knyazev 2001) runs from ``start``, a (k, n, n) stack,
+        or from a seeded random block, projected off the constraints.  Each
+        iteration applies the preconditioner T = (-Delta + sigma)^{-1} to
+        the active residuals R in one fourier_multiply call and needs no
+        other FFT: (-Delta + sigma) T R = R gives A T R = R + (V - sigma) T R
+        and B T R = R + (V_B - sigma) T R; the products AE and BE of the
+        constraints are formed once, and AX, BX, AP and BP follow from the
+        Rayleigh-Ritz recurrences.  A column whose residual norm falls to
+        1e-10 is locked: it stays in the Rayleigh-Ritz basis but leaves the
+        search.  The previous directions P are dropped for a step when their
+        Gram matrix is not positive definite.  The search stops when every
+        column is locked or after MAX_ITERATIONS steps.  When n^2 - m < 5 k
+        there is no room for a block search, and the pencil is solved
+        densely on a basis of the whole complement instead.  A start must
+        not lie in an invariant subspace that misses the lowest pairs:
         LOBPCG would stop there on a wrong pair whose residual is small.
-        Returns ascending eigenvalues and the eigenvectors as Euclidean-unit
-        columns of flattened fields.  Raises SolverError unless every pair's
-        true residual satisfies ||A x - mu B x|| <= 1e-8 (1 + |mu|) ||B x||.
+
+        A last Rayleigh-Ritz step on freshly applied products gives the
+        result: ascending eigenvalues and a (k, n, n) stack of L^2-unit
+        eigenfields.  Raises SolverError unless every pair's true residual,
+        projected off the constraints, satisfies
+        ||A x - mu B x|| <= 1e-8 (1 + |mu|) ||B x||.
         """
         grid = self.grid
         n = grid.n
-        A = flat_operator(grid, apply_a)
-        B = None if apply_b is None else flat_operator(grid, apply_b)
-        if start is None:
-            X = np.random.default_rng(0).standard_normal((n * n, k))
+        size = n * n
+        minus_lap = -grid.lap_multiplier_half
+        va = np.reshape(potential, size)
+        vb = None if potential_b is None else np.reshape(potential_b, size)
+
+        def apply(y):
+            """(Y, A Y, B Y) for a block of row fields, from one -Delta Y."""
+            lap = fourier_multiply(grid, y.reshape(-1, n, n), minus_lap)
+            lap = lap.reshape(y.shape)
+            return y, lap + va * y, None if vb is None else lap + vb * y
+
+        m = 0 if constraints is None else len(constraints)
+        E = apply(grid.h * np.reshape(constraints, (m, size))) if m else None
+        if size - m < 5 * k:
+            # no room for a block search: the Rayleigh-Ritz step below runs
+            # on a basis of the whole complement
+            x = np.eye(size) if not m else scipy.linalg.null_space(E[0]).T
         else:
-            X = np.array(start, dtype=float).reshape(n * n, k)
-        with warnings.catch_warnings():
-            # non-convergence is judged by the residual check below
-            warnings.simplefilter("ignore", UserWarning)
-            vals, vecs = spla.lobpcg(A, X, B=B, M=fft_preconditioner(grid, sigma),
-                                     largest=False, tol=1e-10, maxiter=1000)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        for mu, x in zip(vals, vecs.T):
-            ax = A.matvec(x)
-            bx = x if B is None else B.matvec(x)
-            res = np.linalg.norm(ax - mu * bx)
-            if not res <= 1e-8 * (1.0 + abs(mu)) * np.linalg.norm(bx):
+            if start is None:
+                x = np.random.default_rng(0).standard_normal((size, k)).T
+            else:
+                x = np.reshape(start, (k, size))
+            inv_sym = 1.0 / (sigma - grid.lap_multiplier_half)
+            shift_a = va - sigma
+            shift_b = None if vb is None else vb - sigma
+
+            def precondition(r):
+                """(W, A W, B W) for W = T R, by one fourier_multiply."""
+                w = fourier_multiply(grid, r.reshape(-1, n, n), inv_sym)
+                w = w.reshape(r.shape)
+                return w, r + shift_a * w, None if vb is None else r + shift_b * w
+
+            x = _lobpcg(apply(_project_off(x, E)), precondition, E)
+
+        X = apply(_project_off(x, E))
+        ritz = _rayleigh_ritz([X], k)
+        if ritz is None:
+            raise SolverError("LOBPCG ended on a linearly dependent block")
+        vals, coeff = ritz
+        X = _combine([(coeff.T, X)])
+        unit = 1.0 / np.linalg.norm(X[0], axis=1)
+        res = np.linalg.norm(_project_off(X[1] - vals[:, None] * _b_of(X), E),
+                             axis=1)
+        bx = np.linalg.norm(_b_of(X), axis=1)
+        for mu, r, b in zip(vals, res * unit, bx * unit):
+            if not r <= 1e-8 * (1.0 + abs(mu)) * b:
                 raise SolverError(
                     f"LOBPCG did not converge: eigenvalue {mu:.12g} has "
-                    f"residual {res:.3e}")
-        return vals, vecs
+                    f"residual {r:.3e}")
+        return vals, (X[0] * (unit[:, None] / grid.h)).reshape(k, n, n)
 
     # -- resolvent ----------------------------------------------------------
 

@@ -108,7 +108,7 @@ def form_bound_constant(op, a, eta):
     a = np.abs(op.grid.check_field(_as_field(a)))
     # top of |a| - eta (-H_c) = -eta * lowest of -H + (c - |a| / eta)
     diag = op.c - a / eta
-    vals, _ = op.lowest_eigenpairs(lambda u: -op.apply_h(u) + diag * u, 1,
+    vals, _ = op.lowest_eigenpairs(diag - op.xi, 1,
                                    sigma=max(float(np.mean(diag)), 0.0) + 1.0)
     return max(-eta * float(vals[0]), 0.0)
 
@@ -186,17 +186,14 @@ def eigendecompose(op, a, count):
     sigma = max(op.c + float(np.mean(a)), 0.0) + 1.0
     k = count
     while True:
-        vals, vecs = op.lowest_eigenpairs(lambda u: op.apply_minus_hc(u) + a * u,
-                                          k, sigma=sigma)
+        vals, vecs = op.lowest_eigenpairs(op.c + a - op.xi, k, sigma=sigma)
         m = _index_m(vals)
         if m < k - 1 or k >= n * n:
             break
         k = min(2 * k, n * n)
     keep = min(max(count, m + 2), len(vals))
     vals_out = vals[:keep]
-    # Euclidean-unit columns; rescale to L^2
-    fields = [vecs[:, i].reshape(n, n) / grid.h for i in range(keep)]
-    fields = _canonicalize_clusters(grid, vals_out, fields)
+    fields = _canonicalize_clusters(grid, vals_out, list(vecs[:keep]))
     res = np.array([
         np.sqrt(max(inner_l2(grid, r, r), 0.0))
         for r in (op.apply_minus_hc(e) + a * e - mu * e
@@ -210,10 +207,10 @@ def gap_delta(op, a, spectrum):
     """Positive gap of -H_c + a over the complement of its non-positive modes.
 
     delta = min over E_{>m} of (v, (-H_c + a) v) / (v, (-H_c) v); raises
-    if the computed value is not strictly positive.  With P the projector
-    onto E_{>m}, which -H_c + a leaves invariant, delta is the lowest
-    eigenvalue of the pencil (P A P + s (I - P), P B P + (I - P)); the
-    filler s lies above every quotient, which is at most 1 + max(a).
+    if the computed value is not strictly positive.  E_{>m}, the
+    L^2-orthogonal complement of e_0..e_m, is invariant under -H_c + a, so
+    delta is the lowest eigenvalue of the pencil (-H_c + a, -H_c) with
+    e_0..e_m as LOBPCG's constraints.
 
     LOBPCG starts from e_{m+1}, which lies in E_{>m} and is usually close
     to the minimiser, plus a 1e-2 share of a seeded random field projected
@@ -227,27 +224,15 @@ def gap_delta(op, a, spectrum):
     m = spectrum.m
     if len(spectrum.eigenvalues) <= m + 1:
         raise ValueError("spectrum must contain at least m + 2 eigenpairs")
-    # L^2-orthonormal fields are Euclidean-orthogonal with norm 1/h
-    E = grid.h * np.reshape(spectrum.eigenfields[:m + 1], (m + 1, n * n)).T
-    filler = max(10.0, 2.0 + float(np.max(a)))
-
-    def project(u):
-        return u - (E @ (E.T @ u.ravel())).reshape(n, n)
-
-    w = project(np.random.default_rng(0).standard_normal((n, n)))
+    w = np.random.default_rng(0).standard_normal((n, n))
+    w -= sum(inner_l2(grid, e, w) * e for e in spectrum.eigenfields[:m + 1])
     e = spectrum.eigenfields[m + 1]
     start = e / np.linalg.norm(e) + 1e-2 * w / np.linalg.norm(w)
-
-    def apply_a(u):
-        pu = project(u)
-        return project(op.apply_minus_hc(pu) + a * pu) + filler * (u - pu)
-
-    def apply_b(u):
-        pu = project(u)
-        return project(op.apply_minus_hc(pu)) + (u - pu)
-
-    vals, _ = op.lowest_eigenpairs(apply_a, 1, apply_b=apply_b, start=start,
-                                   sigma=max(op.c + float(np.mean(a)), 0.0) + 1.0)
+    vals, _ = op.lowest_eigenpairs(op.c + a - op.xi, 1,
+                                   sigma=max(op.c + float(np.mean(a)), 0.0) + 1.0,
+                                   potential_b=op.c - op.xi,
+                                   constraints=spectrum.eigenfields[:m + 1],
+                                   start=start[None])
     delta = float(vals[0])
     if delta <= 0:
         raise SpectralInconsistencyError(

@@ -3,6 +3,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +373,20 @@ def test_cli_success_exit_code(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "noise.f64").exists()
     assert "artifacts" in capsys.readouterr().out
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    # from a checkout, without the installed anderson2d script
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "anderson2d", "spectrum", "--n", "8",
+         "--seed", "7", "--count", "3", "--out", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "spectrum.json").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -265,14 +265,50 @@ def test_gap_delta_constant_potential_matches_dense_pencil(grid8, op8, level):
     assert a2.gap_delta(op8, a, spec) == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("level", [0.0, -8.0])
+def test_small_pencils_are_solved_densely(level):
+    # on 4 x 4, n^2 - m < 5 k leaves no room for a block search: 16 < 20
+    # for the four eigenpairs, and 16 - 15 < 5 for the gap when m = 14
+    g = TorusGrid(4)
+    op = AndersonOperator(g, a2.sample_white_noise(g, 3))
+    a = Potential(field=random_field(g, 1) + level, declared_p=2.0)
+    spec = a2.eigendecompose(op, a, 4)
+    mat = dense_h_oracle(g, op.xi)
+    assert op.lambda_max_h == pytest.approx(
+        np.linalg.eigvalsh(0.5 * (mat + mat.T))[-1], abs=1e-12)
+    form = -mat + op.c * np.eye(16) + np.diag(a.field.ravel())
+    vals = np.linalg.eigvalsh(0.5 * (form + form.T))
+    assert spec.m == (-1 if level == 0.0 else 14)
+    assert np.allclose(spec.eigenvalues, vals[:len(spec.eigenvalues)],
+                       atol=1e-12)
+    m, oracle = _dense_pencil_gap(op, a)
+    assert m == spec.m
+    assert a2.gap_delta(op, a, spec) == pytest.approx(oracle, rel=1e-12)
+
+
 def test_gap_delta_halves_the_operator_products(monkeypatch):
     # the test_gap_delta_converges_at_n64 problem: a start from random noise
     # took 238 products of -H_c, the start from e_{m+1} takes 86
+    fields = []
+    multiply = a2.operator.fourier_multiply
+
+    def counted_multiply(grid, u, symbol):
+        fields.append(u.size // grid.n ** 2)
+        return multiply(grid, u, symbol)
+
+    def stage_fields():
+        total = sum(fields)
+        fields.clear()
+        return total
+
+    monkeypatch.setattr(a2.operator, "fourier_multiply", counted_multiply)
     g = TorusGrid(64)
     op = AndersonOperator(g, a2.sample_white_noise(g, 11))
+    init_fields = stage_fields()
     a = Potential(field=constant(g, -3.0).field + smooth_random(g, 5).field
                   + spike(g, 2.0).field, declared_p=1.5)
     spec = a2.eigendecompose(op, a, 8)
+    eigen_fields = stage_fields()
     calls = []
     apply = op.apply_minus_hc
 
@@ -283,6 +319,27 @@ def test_gap_delta_halves_the_operator_products(monkeypatch):
     monkeypatch.setattr(op, "apply_minus_hc", counted)
     a2.gap_delta(op, a, spec)
     assert len(calls) <= 119
+    # fields through a real-FFT pair (a stack of k counts k): one per
+    # column and LOBPCG iteration, plus the start block and the final check
+    assert init_fields <= 34
+    assert eigen_fields <= 227
+    assert stage_fields() <= 30
+
+
+def test_eigen_solves_raise_at_the_iteration_cap(monkeypatch):
+    g = TorusGrid(32)
+    xi = a2.sample_white_noise(g, 11)
+    op = AndersonOperator(g, xi)
+    a = Potential(field=constant(g, -3.0).field + spike(g, 2.0).field,
+                  declared_p=1.5)
+    spec = a2.eigendecompose(op, a, 6)
+    monkeypatch.setattr(a2.operator, "MAX_ITERATIONS", 2)
+    with pytest.raises(a2.SolverError, match="did not converge"):
+        AndersonOperator(g, xi)
+    with pytest.raises(a2.SolverError, match="did not converge"):
+        a2.eigendecompose(op, a, 6)
+    with pytest.raises(a2.SolverError, match="did not converge"):
+        a2.gap_delta(op, a, spec)
 
 
 def test_gap_delta_from_a_one_pair_request(grid8, op8):
