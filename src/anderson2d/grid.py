@@ -90,18 +90,6 @@ class TorusGrid:
     def total_measure(self):
         return self.cell_measure * self.n * self.n
 
-    def canonical_wavenumbers(self):
-        """Wavenumber pairs in the canonical lexicographic order.
-
-        Returns an (n^2, 2) integer array of (kx1, kx2) with each component
-        in [-n/2, n/2), sorted lexicographically.  Degenerate eigenclusters
-        are re-spanned from Fourier modes in this order.
-        """
-        half = self.n // 2
-        ks = np.arange(-half, half)
-        kk1, kk2 = np.meshgrid(ks, ks, indexing="ij")
-        return np.stack([kk1.ravel(), kk2.ravel()], axis=1)
-
     def zeros(self):
         return np.zeros((self.n, self.n))
 

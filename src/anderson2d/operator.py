@@ -280,14 +280,12 @@ class AndersonOperator:
         grid = self.grid
         n = grid.n
         size = n * n
-        minus_lap = -grid.lap_multiplier_half
         va = np.reshape(potential, size)
         vb = None if potential_b is None else np.reshape(potential_b, size)
 
         def apply(y):
             """(Y, A Y, B Y) for a block of row fields, from one -Delta Y."""
-            lap = fourier_multiply(grid, y.reshape(-1, n, n), minus_lap)
-            lap = lap.reshape(y.shape)
+            lap = -laplacian_apply(grid, y.reshape(-1, n, n)).reshape(y.shape)
             return y, lap + va * y, None if vb is None else lap + vb * y
 
         m = 0 if constraints is None else len(constraints)
@@ -301,14 +299,13 @@ class AndersonOperator:
                 x = np.random.default_rng(0).standard_normal((size, k)).T
             else:
                 x = np.reshape(start, (k, size))
-            inv_sym = 1.0 / (sigma - grid.lap_multiplier_half)
+            inverse = _shifted_laplacian_inverse(grid, sigma)
             shift_a = va - sigma
             shift_b = None if vb is None else vb - sigma
 
             def precondition(r):
                 """(W, A W, B W) for W = T R, by one fourier_multiply."""
-                w = fourier_multiply(grid, r.reshape(-1, n, n), inv_sym)
-                w = w.reshape(r.shape)
+                w = inverse(r.reshape(-1, n, n)).reshape(r.shape)
                 return w, r + shift_a * w, None if vb is None else r + shift_b * w
 
             x = _lobpcg(apply(_project_off(x, E)), precondition, E)

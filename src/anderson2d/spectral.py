@@ -12,7 +12,6 @@ eigenfields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
@@ -28,12 +27,13 @@ class SpectralInconsistencyError(RuntimeError):
 class Spectrum:
     """Ordered low eigenpairs of the form -H_c + a.
 
-    eigenfields are L^2-orthonormal; m is the largest index with mu <= 0
-    (-1 if mu_0 > 0); delta is filled by gap_delta.
+    eigenfields is a (k, n, n) stack of L^2-orthonormal fields, with
+    reproducible bases inside degenerate clusters; m is the largest index
+    with mu <= 0 (-1 if mu_0 > 0); delta is filled by gap_delta.
     """
 
     eigenvalues: np.ndarray
-    eigenfields: List[np.ndarray]
+    eigenfields: np.ndarray
     m: int
     delta: float = np.nan
     residuals: np.ndarray = field(default=None)
@@ -121,53 +121,56 @@ def _index_m(vals):
     return int(np.sum(vals <= tol)) - 1
 
 
-def _canonical_sign(grid, v):
-    """Fix the sign so the largest-magnitude entry is positive."""
-    flat = v.ravel()
-    i = int(np.argmax(np.abs(flat)))
-    return -v if flat[i] < 0 else v
-
-
 def _canonicalize_clusters(grid, vals, vecs, tol=1e-9):
     """Reproducible bases inside numerically degenerate eigenclusters.
 
     Within each cluster (consecutive gaps < tol) the subspace is re-spanned
-    by projecting the canonical Fourier modes, in canonical wavenumber
-    order, onto the cluster and orthonormalizing; signs are then fixed.
+    from the Fourier modes cos(k.x) and sin(k.x), k in [-n/2, n/2)^2 in
+    lexicographic order, cos before sin: each mode's projection onto the
+    cluster, minus its components along the fields already found, becomes
+    the next field if its L^2 norm exceeds 1e-8 (ordered Gram-Schmidt).
+    The projections come from one rfft2 of the cluster's fields, F(k), as
+    h^2 (Re F(k), -Im F(k)), with F(-k) = conj F(k) for k2 < 0.
+
+    A re-spanned field keeps the sign Gram-Schmidt gives it, a positive
+    coefficient on the mode that generated it; every other field is signed
+    so that its largest-magnitude entry is positive.  Returns a (k, n, n)
+    stack.
     """
     n = grid.n
-    ks = grid.canonical_wavenumbers()
-    out = [v.copy() for v in vecs]
+    out = np.array(vecs, dtype=float)
+    respanned = np.zeros(len(out), dtype=bool)
+    ks = np.arange(-(n // 2), n // 2)
     i = 0
     while i < len(vals):
         j = i + 1
         while j < len(vals) and vals[j] - vals[j - 1] < tol:
             j += 1
         if j - i > 1:
-            basis = np.stack([out[t].ravel() for t in range(i, j)], axis=1)
-            # L^2-orthonormal columns; projector P = basis basis^T h^2
-            new_cols = []
-            for k1, k2 in ks:
-                phase = np.exp(1j * (k1 * grid.x1 + k2 * grid.x2))
-                for mode in (np.real(phase), np.imag(phase)):
-                    if np.max(np.abs(mode)) < 1e-12:
-                        continue
-                    coeff = basis.T @ mode.ravel() * grid.cell_measure
-                    cand = basis @ coeff
-                    for col in new_cols:
-                        cand = cand - col * (col @ cand) * grid.cell_measure
-                    nrm = np.sqrt(cand @ cand * grid.cell_measure)
-                    if nrm > 1e-8:
-                        new_cols.append(cand / nrm)
-                    if len(new_cols) == j - i:
+            half = np.fft.rfft2(out[i:j])
+            # F(k1, k2) in lexicographic order: k2 < 0 from conj F(-k)
+            full = np.concatenate([np.conj(half[:, -ks % n, n // 2:0:-1]),
+                                   half[:, ks % n, :n // 2]], axis=2)
+            modes = grid.cell_measure * np.stack([full.real, -full.imag], axis=-1)
+            modes = np.moveaxis(modes, 0, -1).reshape(-1, j - i)
+            basis = []
+            # projecting off the fields found only shortens a mode's
+            # coefficients, so modes already shorter than 1e-8 never pass
+            for c in modes[np.linalg.norm(modes, axis=1) > 1e-8]:
+                for q in basis:
+                    c = c - q * (q @ c)
+                nrm = np.sqrt(c @ c)
+                if nrm > 1e-8:
+                    basis.append(c / nrm)
+                    if len(basis) == j - i:
+                        out[i:j] = np.tensordot(basis, out[i:j], axes=1)
+                        respanned[i:j] = True
                         break
-                if len(new_cols) == j - i:
-                    break
-            if len(new_cols) == j - i:
-                for t, col in enumerate(new_cols):
-                    out[i + t] = col.reshape(n, n)
         i = j
-    return [_canonical_sign(grid, v) for v in out]
+    flat = out.reshape(len(out), -1)
+    peak = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    out[(peak < 0) & ~respanned] *= -1
+    return out
 
 
 def eigendecompose(op, a, count):
@@ -181,8 +184,8 @@ def eigendecompose(op, a, count):
     grid = op.grid
     a = grid.check_field(_as_field(a))
     n = grid.n
-    if count > n * n:
-        raise ValueError(f"count {count} exceeds grid dimension {n * n}")
+    if not 1 <= count <= n * n:
+        raise ValueError(f"count must lie in [1, {n * n}], got {count}")
     sigma = max(op.c + float(np.mean(a)), 0.0) + 1.0
     k = count
     while True:
@@ -193,7 +196,7 @@ def eigendecompose(op, a, count):
         k = min(2 * k, n * n)
     keep = min(max(count, m + 2), len(vals))
     vals_out = vals[:keep]
-    fields = _canonicalize_clusters(grid, vals_out, list(vecs[:keep]))
+    fields = _canonicalize_clusters(grid, vals_out, vecs[:keep])
     res = np.array([
         np.sqrt(max(inner_l2(grid, r, r), 0.0))
         for r in (op.apply_minus_hc(e) + a * e - mu * e

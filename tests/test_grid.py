@@ -133,7 +133,13 @@ def _fft_call_sites(names):
 
 
 def test_every_field_fft_goes_through_fourier_multiply():
-    sites = _fft_call_sites(("irfft2", "fft2", "ifft2"))
+    sites = _fft_call_sites(("rfft2", "irfft2", "fft2", "ifft2"))
+    # forward transforms of a field that no symbol multiplies: a kernel's
+    # half-spectrum, taken once, and the Fourier coefficients of an
+    # eigencluster
+    assert sites["rfft2"] == {"grid.fourier_multiply", "grid.convolve",
+                              "choquard.ChoquardProblem.__post_init__",
+                              "spectral._canonicalize_clusters"}
     assert sites["irfft2"] == {"grid.fourier_multiply"}
     dense = {"operator.AndersonOperator.dense_h"}
     assert sites["fft2"] == dense and sites["ifft2"] == dense

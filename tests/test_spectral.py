@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -139,6 +140,97 @@ def test_eigendecompose_zero_noise(n):
     assert np.allclose(shifted.eigenvalues, [-2, -1, -1, -1, -1, 0, 0, 0, 0, 2],
                        atol=1e-10)
     assert shifted.m == 8
+    assert shifted.eigenfields.shape == (10, n, n)
+
+
+@pytest.mark.parametrize("count", [0, -1, 65])
+def test_eigendecompose_rejects_count_outside_range(grid8, op8, count):
+    # 65 = 8^2 + 1 pairs do not exist on the 8 x 8 grid
+    with pytest.raises(ValueError, match="count"):
+        a2.eigendecompose(op8, constant(grid8, 0.0), count)
+
+
+def _per_wavenumber_clusters(grid, vals, vecs, tol=1e-9):
+    """Reference re-spanning of each cluster (consecutive gaps < tol): the
+    projections of cos(k.x) and sin(k.x), k in [-n/2, n/2)^2 in
+    lexicographic order, built as fields one wavenumber at a time, under
+    ordered Gram-Schmidt.  No sign rule is applied."""
+    half = grid.n // 2
+    out = [v.copy() for v in vecs]
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and vals[j] - vals[j - 1] < tol:
+            j += 1
+        if j - i > 1:
+            basis = np.stack([out[t].ravel() for t in range(i, j)], axis=1)
+            new_cols = []
+            for k1, k2 in itertools.product(range(-half, half), repeat=2):
+                phase = np.exp(1j * (k1 * grid.x1 + k2 * grid.x2))
+                for mode in (np.real(phase), np.imag(phase)):
+                    if np.max(np.abs(mode)) < 1e-12:
+                        continue
+                    coeff = basis.T @ mode.ravel() * grid.cell_measure
+                    cand = basis @ coeff
+                    for col in new_cols:
+                        cand = cand - col * (col @ cand) * grid.cell_measure
+                    nrm = np.sqrt(cand @ cand * grid.cell_measure)
+                    if nrm > 1e-8:
+                        new_cols.append(cand / nrm)
+                    if len(new_cols) == j - i:
+                        break
+                if len(new_cols) == j - i:
+                    break
+            if len(new_cols) == j - i:
+                for t, col in enumerate(new_cols):
+                    out[i + t] = col.reshape(grid.n, grid.n)
+        i = j
+    return out
+
+
+def _zero_noise_pairs(n, level):
+    """The lowest ten LOBPCG pairs of -H_c + level at zero noise, as
+    eigendecompose requests them, and their clusters as index ranges."""
+    g = TorusGrid(n)
+    op = AndersonOperator(g, g.zeros())
+    vals, vecs = op.lowest_eigenpairs(op.c + level - op.xi, 10,
+                                      sigma=max(op.c + level, 0.0) + 1.0)
+    edges = [0] + [t for t in range(1, 10) if vals[t] - vals[t - 1] >= 1e-9]
+    return g, vals, vecs, list(zip(edges, edges[1:] + [10]))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("level", [0.0, -3.0])
+def test_cluster_bases_match_the_per_wavenumber_projection(n, level):
+    # the reference applies no sign rule: a re-spanned field must match it
+    # sign included, a lone field up to sign
+    g, vals, vecs, clusters = _zero_noise_pairs(n, level)
+    assert max(j - i for i, j in clusters) == 4
+    ref = _per_wavenumber_clusters(g, vals, vecs)
+    got = a2.spectral._canonicalize_clusters(g, vals, vecs)
+    for i, j in clusters:
+        for t in range(i, j):
+            err = np.abs(ref[t] - got[t]).max()
+            if j - i == 1:
+                err = min(err, np.abs(ref[t] + got[t]).max())
+            assert err <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("level", [0.0, -3.0])
+def test_cluster_bases_do_not_depend_on_the_solver_basis(n, level):
+    # any orthonormal basis of each cluster gives the same fields, signs
+    # included: the sign of a re-spanned field comes from its Fourier
+    # coefficient, not from a largest entry that ties at rounding level
+    g, vals, vecs, clusters = _zero_noise_pairs(n, level)
+    rng = np.random.default_rng(3)
+    rotated = vecs.copy()
+    for i, j in clusters:
+        q, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
+        rotated[i:j] = np.tensordot(q, vecs[i:j], axes=1)
+    canonicalize = a2.spectral._canonicalize_clusters
+    assert np.abs(canonicalize(g, vals, rotated)
+                  - canonicalize(g, vals, vecs)).max() <= 1e-12
 
 
 def test_eigendecompose_matches_dense_oracle(grid8, op8):
