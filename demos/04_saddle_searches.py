@@ -33,7 +33,7 @@ mp = a2.mountain_pass_solve(prob, tol=1e-8, seed=0)
 rel = mp.residual_l2 / (1 + a2.norm_l2(g, mp.u))
 print(f"\nmountain pass: Phi = {mp.phi:.5f} > 0, rel residual {rel:.1e}, "
       f"method {mp.method}")
-geo = mp.info["geometry"]
+geo = a2.mountain_pass_geometry(prob, a2.eigendecompose(op, prob.a, 8))
 print(f"linking witness: min Phi on the r1-sphere {geo['min_phi_sphere']:.4f}"
       f" > 0 > endpoint Phi {geo['phi_endpoint']:.2f}")
 

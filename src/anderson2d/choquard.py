@@ -190,7 +190,8 @@ def selfdual_minimize(prob, init=None, tol=1e-6, max_iter=5000):
     Triviality (||u|| < 1e-3) is reported, not treated as failure.
     `iterations` counts accepted steps and the trace holds one entry per
     point, so len(trace) == iterations + 1; `info["line_search_trials"]`
-    counts the evaluated trials.
+    counts the evaluated trials.  An unconverged result carries an
+    `info["warning"]` saying why the descent stopped.
     """
     grid = prob.grid
     u = grid.zeros() if init is None else grid.check_field(init).copy()
@@ -231,9 +232,16 @@ def selfdual_minimize(prob, init=None, tol=1e-6, max_iter=5000):
             break
         steps += 1
         s_next = min(1.0, 2.0 * s)
+    info = {"trivial": bool(norm_l2(grid, u) < 1e-3),
+            "selfdual_value": I, "line_search_trials": trials}
+    if not converged:
+        stop = ("max_iter reached" if steps >= max_iter
+                else "line search found no decrease")
+        info["warning"] = (f"self-dual descent not converged after {steps} "
+                           f"iterations ({stop}): I = {I:.3e}, "
+                           f"residual {res:.3e}")
     return SolveResult(
         u=u, phi=I, residual_l2=res, grad_e_norm=norm_l2(grid, grad),
         iterations=steps, method="selfdual", converged=converged, trace=trace,
-        info={"trivial": bool(norm_l2(grid, u) < 1e-3),
-              "selfdual_value": I, "line_search_trials": trials},
+        info=info,
     )

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence or a
 partial result (artifacts are written, the manifest lists the warnings),
-4 internal inconsistency (a structural identity failed numerically).
+4 internal inconsistency (a structural identity failed numerically).  A
+stage that fails once the output directory exists still leaves config.json
+and a manifest whose ``error`` names it.
 """
 
 from __future__ import annotations

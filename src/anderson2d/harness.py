@@ -2,8 +2,8 @@
 
 Every command is a pure function of its RunConfig: identical config and
 seed produce byte-identical numeric artifacts.  The manifest records the
-config echo, RNG algorithm, timings and a sha256 checksum of every file
-written.
+config echo, RNG algorithm, timings, a sha256 checksum of every file
+written and, for a run that failed, the error.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ class RunManifest:
     checksums: dict = field(default_factory=dict)
     # partial results (e.g. fewer fountain levels than requested)
     warnings: list = field(default_factory=list)
+    # {stage, type, message} of the exception that ended a failed run
+    error: Optional[dict] = None
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -181,7 +183,10 @@ def _write_json(obj, path):
     return path
 
 
-def _solution_frame(grid, results, outdir, files):
+def _solution_frame(grid, results, outdir, files,
+                    trace_header=("iter", "phi", "grad_norm")):
+    """solution_i.f64, result_i.json (the SolveResult's scalar fields and
+    its whole info dict) and, for a non-empty trace, trace_i.csv."""
     for i, res in enumerate(results):
         fpath = outdir / f"solution_{i}.f64"
         tg.save_field(grid, res.u, fpath)
@@ -194,11 +199,12 @@ def _solution_frame(grid, results, outdir, files):
             "method": res.method,
             "converged": res.converged,
             "seed": res.seed,
+            **res.info,
         }, outdir / f"result_{i}.json"))
         if res.trace:
             files.append(emit_plotdata(
                 [(k, t[0], t[1]) for k, t in enumerate(res.trace)],
-                outdir / f"trace_{i}.csv", ["iter", "phi", "grad_norm"]))
+                outdir / f"trace_{i}.csv", trace_header))
 
 
 def _resolve_specs(config, grid, op):
@@ -232,27 +238,59 @@ def _resolve_specs(config, grid, op):
 
 
 def run(config):
-    """Execute a pipeline and return its RunManifest."""
+    """Execute a pipeline and return its RunManifest.
+
+    When a stage raises once the output directory exists, config.json and
+    a manifest whose ``error`` holds the stage, the exception's type and
+    its message are written beside the artifacts so far, and the exception
+    propagates.
+    """
     config.validate()
     t0 = time.perf_counter()
     grid = tg.TorusGrid(config.n)
+    outdir = Path(config.out)
+    outdir_made = False
     files = []
     timings = {}
     warnings = []
 
     def clock(name, fn):
         t = time.perf_counter()
-        out = fn()
+        try:
+            out = fn()
+        except Exception as exc:
+            timings[name] = time.perf_counter() - t
+            if outdir_made:
+                finish({"stage": name, "type": type(exc).__name__,
+                        "message": str(exc)})
+            raise
         timings[name] = time.perf_counter() - t
         return out
+
+    def finish(error=None):
+        config_path = outdir / "config.json"
+        config_path.write_text(config.to_json() + "\n")
+        files.append(config_path)
+        manifest = RunManifest(
+            config=asdict(config),
+            version=__version__,
+            rng_algorithm=RNG_ALGORITHM,
+            wall_clock_s=time.perf_counter() - t0,
+            timings=timings,
+            checksums={str(Path(f).name): _sha256(f) for f in files},
+            warnings=warnings,
+            error=error,
+        )
+        (outdir / "manifest.json").write_text(manifest.to_json() + "\n")
+        return manifest
 
     cmd = config.command
     if cmd != "sample-noise":
         xi = sample_white_noise(grid, config.seed)
         op = clock("operator", lambda: AndersonOperator(grid, xi))
         inputs = _resolve_specs(config, grid, op)
-    outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    outdir_made = True
     if cmd == "sample-noise":
         xi = clock("sample", lambda: sample_white_noise(grid, config.seed))
         if config.cutoff is not None:
@@ -269,13 +307,14 @@ def run(config):
         a = inputs["a"]
         spec_obj = clock("eigendecompose",
                          lambda: spectral.eigendecompose(op, a, config.count))
-        delta = clock("gap", lambda: spectral.gap_delta(op, a, spec_obj))
-        files.append(_write_json({
-            "eigenvalues": list(map(float, spec_obj.eigenvalues)),
-            "m": spec_obj.m,
-            "delta": delta,
-            "residuals": list(map(float, spec_obj.residuals)),
-        }, outdir / "spectrum.json"))
+        # written before the gap solve too, so a failed gap keeps the spectrum
+        report = {"eigenvalues": list(map(float, spec_obj.eigenvalues)),
+                  "m": spec_obj.m,
+                  "residuals": list(map(float, spec_obj.residuals))}
+        files.append(_write_json(report, outdir / "spectrum.json"))
+        report["delta"] = clock("gap",
+                                lambda: spectral.gap_delta(op, a, spec_obj))
+        _write_json(report, outdir / "spectrum.json")
     elif cmd == "kato-check":
         a = inputs["a"]
         rows_r = clock("kato_log", lambda: [
@@ -320,45 +359,11 @@ def run(config):
         res = clock("solve", lambda: choquard.selfdual_minimize(
             inputs["problem"], init=inputs["init"], tol=config.tol,
             max_iter=config.max_iter))
-        fpath = outdir / "solution_0.f64"
-        tg.save_field(grid, res.u, fpath)
-        files.append(fpath)
-        result = {
-            "selfdual_value": res.info["selfdual_value"],
-            "residual_l2": res.residual_l2,
-            "trivial": res.info["trivial"],
-            "iterations": res.iterations,
-            "line_search_trials": res.info["line_search_trials"],
-            "converged": res.converged,
-        }
-        if not res.converged:
-            stop = ("max_iter reached" if res.iterations >= config.max_iter
-                    else "line search found no decrease")
-            result["warning"] = (
-                f"self-dual descent not converged after {res.iterations} "
-                f"iterations ({stop}): I = {res.phi:.3e}, "
-                f"residual {res.residual_l2:.3e}")
-            warnings.append(result["warning"])
-        files.append(_write_json(result, outdir / "result_0.json"))
-        files.append(emit_plotdata(
-            [(k, t[0], t[1]) for k, t in enumerate(res.trace)],
-            outdir / "trace_0.csv", ["iter", "selfdual_value", "residual_l2"]))
-
-    config_path = outdir / "config.json"
-    config_path.write_text(config.to_json() + "\n")
-    files.append(config_path)
-
-    manifest = RunManifest(
-        config=asdict(config),
-        version=__version__,
-        rng_algorithm=RNG_ALGORITHM,
-        wall_clock_s=time.perf_counter() - t0,
-        timings=timings,
-        checksums={str(Path(f).name): _sha256(f) for f in files},
-        warnings=warnings,
-    )
-    (outdir / "manifest.json").write_text(manifest.to_json() + "\n")
-    return manifest
+        _solution_frame(grid, [res], outdir, files,
+                        ("iter", "selfdual_value", "residual_l2"))
+        if "warning" in res.info:
+            warnings.append(res.info["warning"])
+    return finish()
 
 
 def _kernel_from_spec(grid, spec):

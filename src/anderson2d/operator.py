@@ -206,7 +206,7 @@ class AndersonOperator:
             xi = xi - np.log(grid.n) / (2.0 * np.pi)
         self.xi = xi
         self.renormalize = renormalize
-        vals, _ = self.lowest_eigenpairs(-xi, 1, sigma=1.0)
+        vals, _, _ = self.lowest_eigenpairs(-xi, 1)
         self.lambda_max_h = -float(vals[0])
         self.c = max(self.lambda_max_h, 0.0) + 1.0
 
@@ -244,7 +244,7 @@ class AndersonOperator:
 
     # -- eigenpairs ---------------------------------------------------------
 
-    def lowest_eigenpairs(self, potential, k, sigma, potential_b=None,
+    def lowest_eigenpairs(self, potential, k, potential_b=None,
                           constraints=None, start=None):
         """Lowest k eigenpairs of the symmetric pencil (-Delta + V, B).
 
@@ -256,8 +256,9 @@ class AndersonOperator:
 
         Block LOBPCG (Knyazev 2001) runs from ``start``, a (k, n, n) stack,
         or from a seeded random block, projected off the constraints.  Each
-        iteration applies the preconditioner T = (-Delta + sigma)^{-1} to
-        the active residuals R in one fourier_multiply call and needs no
+        iteration applies the preconditioner T = (-Delta + sigma)^{-1},
+        with sigma = max(mean(V + xi), 0) + 1 (1 for the shift's V = -xi),
+        to the active residuals R in one fourier_multiply call and needs no
         other FFT: (-Delta + sigma) T R = R gives A T R = R + (V - sigma) T R
         and B T R = R + (V_B - sigma) T R; the products AE and BE of the
         constraints are formed once, and AX, BX, AP and BP follow from the
@@ -272,9 +273,10 @@ class AndersonOperator:
         LOBPCG would stop there on a wrong pair whose residual is small.
 
         A last Rayleigh-Ritz step on freshly applied products gives the
-        result: ascending eigenvalues and a (k, n, n) stack of L^2-unit
-        eigenfields.  Raises SolverError unless every pair's true residual,
-        projected off the constraints, satisfies
+        result (vals, fields, residuals): ascending eigenvalues, a (k, n, n)
+        stack of L^2-unit eigenfields x and the L^2 norms of their true
+        residuals A x - mu B x, projected off the constraints.  Raises
+        SolverError unless every pair satisfies
         ||A x - mu B x|| <= 1e-8 (1 + |mu|) ||B x||.
         """
         grid = self.grid
@@ -299,6 +301,7 @@ class AndersonOperator:
                 x = np.random.default_rng(0).standard_normal((size, k)).T
             else:
                 x = np.reshape(start, (k, size))
+            sigma = max(float(np.mean(va + self.xi.ravel())), 0.0) + 1.0
             inverse = _shifted_laplacian_inverse(grid, sigma)
             shift_a = va - sigma
             shift_b = None if vb is None else vb - sigma
@@ -317,15 +320,15 @@ class AndersonOperator:
         vals, coeff = ritz
         X = _combine([(coeff.T, X)])
         unit = 1.0 / np.linalg.norm(X[0], axis=1)
-        res = np.linalg.norm(_project_off(X[1] - vals[:, None] * _b_of(X), E),
-                             axis=1)
-        bx = np.linalg.norm(_b_of(X), axis=1)
-        for mu, r, b in zip(vals, res * unit, bx * unit):
+        res = unit * np.linalg.norm(
+            _project_off(X[1] - vals[:, None] * _b_of(X), E), axis=1)
+        bx = unit * np.linalg.norm(_b_of(X), axis=1)
+        for mu, r, b in zip(vals, res, bx):
             if not r <= 1e-8 * (1.0 + abs(mu)) * b:
                 raise SolverError(
                     f"LOBPCG did not converge: eigenvalue {mu:.12g} has "
                     f"residual {r:.3e}")
-        return vals, (X[0] * (unit[:, None] / grid.h)).reshape(k, n, n)
+        return vals, (X[0] * (unit[:, None] / grid.h)).reshape(k, n, n), res
 
     # -- resolvent ----------------------------------------------------------
 

@@ -30,6 +30,8 @@ class Spectrum:
     eigenfields is a (k, n, n) stack of L^2-orthonormal fields, with
     reproducible bases inside degenerate clusters; m is the largest index
     with mu <= 0 (-1 if mu_0 > 0); delta is filled by gap_delta.
+    residuals are the eigen-solver's own L^2 residual norms, one per Ritz
+    pair, taken before degenerate clusters are re-spanned.
     """
 
     eigenvalues: np.ndarray
@@ -108,8 +110,7 @@ def form_bound_constant(op, a, eta):
     a = np.abs(op.grid.check_field(_as_field(a)))
     # top of |a| - eta (-H_c) = -eta * lowest of -H + (c - |a| / eta)
     diag = op.c - a / eta
-    vals, _ = op.lowest_eigenpairs(diag - op.xi, 1,
-                                   sigma=max(float(np.mean(diag)), 0.0) + 1.0)
+    vals, _, _ = op.lowest_eigenpairs(diag - op.xi, 1)
     return max(-eta * float(vals[0]), 0.0)
 
 
@@ -180,30 +181,26 @@ def eigendecompose(op, a, count):
     the index m is placed by a positive eigenvalue.  The spectrum keeps
     max(count, m + 2) pairs, at most n^2: besides the lowest `count` it
     always holds e_{m+1}, the pair that places m and starts `gap_delta`.
+    Its residuals are those `lowest_eigenpairs` returns, per Ritz pair
+    before degenerate clusters are re-spanned.
     """
     grid = op.grid
     a = grid.check_field(_as_field(a))
     n = grid.n
     if not 1 <= count <= n * n:
         raise ValueError(f"count must lie in [1, {n * n}], got {count}")
-    sigma = max(op.c + float(np.mean(a)), 0.0) + 1.0
     k = count
     while True:
-        vals, vecs = op.lowest_eigenpairs(op.c + a - op.xi, k, sigma=sigma)
+        vals, vecs, res = op.lowest_eigenpairs(op.c + a - op.xi, k)
         m = _index_m(vals)
         if m < k - 1 or k >= n * n:
             break
         k = min(2 * k, n * n)
     keep = min(max(count, m + 2), len(vals))
-    vals_out = vals[:keep]
-    fields = _canonicalize_clusters(grid, vals_out, vecs[:keep])
-    res = np.array([
-        np.sqrt(max(inner_l2(grid, r, r), 0.0))
-        for r in (op.apply_minus_hc(e) + a * e - mu * e
-                  for mu, e in zip(vals_out, fields))
-    ])
-    return Spectrum(eigenvalues=np.asarray(vals_out, dtype=float),
-                    eigenfields=fields, m=m, residuals=res)
+    return Spectrum(eigenvalues=np.asarray(vals[:keep], dtype=float),
+                    eigenfields=_canonicalize_clusters(grid, vals[:keep],
+                                                       vecs[:keep]),
+                    m=m, residuals=res[:keep])
 
 
 def gap_delta(op, a, spectrum):
@@ -231,11 +228,10 @@ def gap_delta(op, a, spectrum):
     w -= sum(inner_l2(grid, e, w) * e for e in spectrum.eigenfields[:m + 1])
     e = spectrum.eigenfields[m + 1]
     start = e / np.linalg.norm(e) + 1e-2 * w / np.linalg.norm(w)
-    vals, _ = op.lowest_eigenpairs(op.c + a - op.xi, 1,
-                                   sigma=max(op.c + float(np.mean(a)), 0.0) + 1.0,
-                                   potential_b=op.c - op.xi,
-                                   constraints=spectrum.eigenfields[:m + 1],
-                                   start=start[None])
+    vals, _, _ = op.lowest_eigenpairs(op.c + a - op.xi, 1,
+                                      potential_b=op.c - op.xi,
+                                      constraints=spectrum.eigenfields[:m + 1],
+                                      start=start[None])
     delta = float(vals[0])
     if delta <= 0:
         raise SpectralInconsistencyError(

@@ -404,7 +404,7 @@ def _negative_endpoint(problem, v):
 
 def mountain_pass_geometry(problem, spectrum, r1=1.0, seed=0):
     """Witness of the linking geometry: min Phi at 100 seeded points of the
-    r1-sphere of E_{>m} and a negative-energy direction; logged by searches."""
+    r1-sphere of E_{>m} and a negative-energy direction."""
     op, grid = problem.op, problem.grid
     rng = np.random.default_rng(seed)
     m = spectrum.m
@@ -526,24 +526,23 @@ def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
     Returns the first candidate of `_candidates`, on the spectrum of one
     `eigendecompose` call, that passes the relative residual test and has
     ||u||_{L^2} >= 1e-3 and Phi > 0; ``max_iter`` caps each Nehari descent
-    and ``seed`` seeds the perturbations and the geometry witness (on the
-    unit E-sphere).  With m = -1 this is normally Nehari descent from e_0
-    and its Newton polish: a local minimum of Phi on the Nehari manifold.
-    Its level bounds the least positive level from above but is not the
-    least in general: with zero noise on 16^2, e_0 gives u = 1 at pi^2, yet
-    descent from a Gaussian bump reaches a solution at Phi = 5.7515.  When
-    e_0's polish fails, descent from e_1, e_2, ... is tried before any
-    deflated-Newton start; with m >= 0 only deflated-Newton starts run.
+    and ``seed`` seeds only the perturbations of the deflated-Newton
+    starts; ``info["m"]`` is the spectrum's index m.  With m = -1 this is
+    normally Nehari descent from e_0 and its Newton polish: a local minimum
+    of Phi on the Nehari manifold.  Its level bounds the least positive
+    level from above but is not the least in general: with zero noise on
+    16^2, e_0 gives u = 1 at pi^2, yet descent from a Gaussian bump reaches
+    a solution at Phi = 5.7515.  When e_0's polish fails, descent from e_1,
+    e_2, ... is tried before any deflated-Newton start; with m >= 0 only
+    deflated-Newton starts run.
     """
     spectrum = eigendecompose(problem.op, problem.a, count=8)
     trace = []
-    info = {"geometry": mountain_pass_geometry(problem, spectrum, seed=seed),
-            "m": spectrum.m}
     rng = np.random.default_rng(seed)
     for u, its, _, method in _candidates(problem, spectrum, tol, max_iter,
                                          rng, [], trace):
         res = _result_from(problem, u, its, method, trace=trace, seed=seed,
-                           info=info)
+                           info={"m": spectrum.m})
         size = norm_l2(problem.grid, u)
         if (res.residual_l2 <= tol * (1.0 + size) and size >= 1e-3
                 and res.phi > 0):

@@ -267,6 +267,9 @@ def test_selfdual_minimize_counts_steps_at_max_iter(grid16, k):
     assert res.converged is False
     assert res.iterations == k == len(res.trace) - 1
     assert res.trace[-1][0] == res.info["selfdual_value"]
+    assert res.info["warning"].startswith(
+        f"self-dual descent not converged after {k} iterations "
+        f"(max_iter reached)")
 
 
 def test_selfdual_minimize_stops_when_line_search_fails(grid8, monkeypatch):
@@ -286,6 +289,7 @@ def test_selfdual_minimize_stops_when_line_search_fails(grid8, monkeypatch):
     assert res.converged is False
     assert res.iterations == 0 and len(res.trace) == 1
     assert res.info["line_search_trials"] == 40 == len(calls) - 1
+    assert "(line search found no decrease)" in res.info["warning"]
     assert np.array_equal(res.u, np.ones((8, 8)))
 
 
@@ -295,6 +299,7 @@ def test_selfdual_minimize_seeded(grid8):
     res = a2.selfdual_minimize(prob, init=0.5 * rng.standard_normal((8, 8)),
                                tol=1e-6, max_iter=2000)
     assert res.converged
+    assert "warning" not in res.info
     assert res.info["selfdual_value"] <= 1e-12
     Is = [t[0] for t in res.trace]
     assert all(x >= y - 1e-14 for x, y in zip(Is, Is[1:]))

@@ -281,6 +281,9 @@ def test_solve_mp_run(tmp_path):
     res = json.loads((tmp_path / "result_0.json").read_text())
     assert res["converged"]
     assert res["phi"] > 0
+    assert res["m"] == -1  # the solver's info, and nothing else of it
+    assert set(res) == {"phi", "residual_l2", "grad_e_norm", "iterations",
+                        "method", "converged", "seed", "m"}
     g, u = a2.load_field(str(tmp_path / "solution_0.f64"))
     assert a2.norm_l2(g, u) > 1e-3
 
@@ -292,7 +295,12 @@ def test_solve_choquard_run(tmp_path):
     assert res["converged"]
     assert res["selfdual_value"] <= 1e-12
     assert res["line_search_trials"] >= res["iterations"] > 0
+    assert res["trivial"] is True  # u = 0 is the only solution here
+    assert res["method"] == "selfdual"
+    assert res["phi"] == res["selfdual_value"]
     assert "warning" not in res
+    header = (tmp_path / "trace_0.csv").read_text().splitlines()[0]
+    assert header == "iter,selfdual_value,residual_l2"
 
 
 def test_solve_choquard_unconverged_exit_code(tmp_path, capsys):
@@ -307,6 +315,7 @@ def test_solve_choquard_unconverged_exit_code(tmp_path, capsys):
     assert "max_iter reached" in res["warning"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["warnings"] == [res["warning"]]
+    assert manifest["error"] is None
     assert "result_0.json" in manifest["checksums"]
 
 
@@ -330,6 +339,42 @@ def test_solve_fountain_partial_result(tmp_path, monkeypatch, capsys, found):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["warnings"] == [summary["warning"]]
     assert "summary.json" in manifest["checksums"]
+
+
+def test_solve_fountain_results_carry_the_solver_info(tmp_path, monkeypatch):
+    solve, returned = a2.variational.fountain_solve, []
+
+    def spy(*args, **kwargs):
+        returned.extend(solve(*args, **kwargs))
+        return returned
+    monkeypatch.setattr(a2.variational, "fountain_solve", spy)
+    assert cli.main(["solve-fountain", "--n", "16", "--seed", "1",
+                     "--count", "2", "--out", str(tmp_path)]) == 0
+    assert len(returned) == 2
+    for i, sol in enumerate(returned):
+        res = json.loads((tmp_path / f"result_{i}.json").read_text())
+        assert res["start_direction"] == sol.info["start_direction"]
+        assert res["rejected_same_level"] == sol.info["rejected_same_level"]
+        assert res["phi"] == sol.phi and res["method"] == "fountain"
+
+
+def test_failed_stage_leaves_its_artifacts(tmp_path, monkeypatch, capsys):
+    def stalled(op, a, spectrum):
+        raise a2.SolverError("gap stalled")
+    monkeypatch.setattr(a2.spectral, "gap_delta", stalled)
+    code = cli.main(["spectrum", "--n", "16", "--seed", "7", "--potential",
+                     "builtin:spike:2", "--out", str(tmp_path)])
+    assert code == 3
+    assert "solver error: gap stalled" in capsys.readouterr().err
+    spec = json.loads((tmp_path / "spectrum.json").read_text())
+    assert set(spec) == {"eigenvalues", "m", "residuals"}
+    assert len(spec["eigenvalues"]) == len(spec["residuals"]) >= 6
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["error"] == {"stage": "gap", "type": "SolverError",
+                                 "message": "gap stalled"}
+    assert set(manifest["checksums"]) == {"spectrum.json", "config.json"}
+    assert set(manifest["timings"]) == {"operator", "eigendecompose", "gap"}
+    assert json.loads((tmp_path / "config.json").read_text())["n"] == 16
 
 
 def test_solve_fountain_passes_max_iter(tmp_path, monkeypatch):

@@ -193,8 +193,7 @@ def _zero_noise_pairs(n, level):
     eigendecompose requests them, and their clusters as index ranges."""
     g = TorusGrid(n)
     op = AndersonOperator(g, g.zeros())
-    vals, vecs = op.lowest_eigenpairs(op.c + level - op.xi, 10,
-                                      sigma=max(op.c + level, 0.0) + 1.0)
+    vals, vecs, _ = op.lowest_eigenpairs(op.c + level - op.xi, 10)
     edges = [0] + [t for t in range(1, 10) if vals[t] - vals[t - 1] >= 1e-9]
     return g, vals, vecs, list(zip(edges, edges[1:] + [10]))
 
@@ -255,6 +254,35 @@ def test_spectrum_orthonormality_and_rayleigh(grid8, op8):
         assert abs(form - mu) <= 1e-7 * (1 + abs(mu))
     assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
     assert np.all(spec.residuals <= 1e-7 * (1 + np.abs(spec.eigenvalues)))
+
+
+def test_eigendecompose_takes_residuals_from_the_eigen_solver(monkeypatch):
+    # the residuals come from lowest_eigenpairs' own final check: no further
+    # operator product once it has returned
+    g = TorusGrid(32)
+    op = AndersonOperator(g, a2.sample_white_noise(g, seed=3))
+    events = []
+    solve = AndersonOperator.lowest_eigenpairs
+    apply_h = AndersonOperator.apply_h
+
+    def logged_solve(self, *args, **kwargs):
+        out = solve(self, *args, **kwargs)
+        events.append("lowest_eigenpairs")
+        return out
+
+    def logged_apply_h(self, u):
+        events.append("apply_h")
+        return apply_h(self, u)
+
+    monkeypatch.setattr(AndersonOperator, "lowest_eigenpairs", logged_solve)
+    monkeypatch.setattr(AndersonOperator, "apply_h", logged_apply_h)
+    a = constant(g, -3.0).field + spike(g, 2.0).field
+    spec = a2.eigendecompose(op, a, 8)
+    assert events.count("lowest_eigenpairs") >= 1
+    last = len(events) - events[::-1].index("lowest_eigenpairs")
+    assert "apply_h" not in events[last:]
+    assert len(spec.residuals) == len(spec.eigenvalues)
+    assert np.all(spec.residuals <= 1e-8 * (1 + np.abs(spec.eigenvalues)))
 
 
 def test_eigendecompose_determinism(grid8, op8):

@@ -231,6 +231,15 @@ def test_mountain_pass_geometry_witness(grid16):
     assert geo["r2"] > geo["r1"]
 
 
+def test_mountain_pass_solve_skips_the_geometry_witness(grid16, monkeypatch):
+    def witness(*args, **kwargs):
+        raise AssertionError("mountain_pass_geometry called")
+    monkeypatch.setattr(variational, "mountain_pass_geometry", witness)
+    res = a2.mountain_pass_solve(zero_problem(grid16), tol=1e-8, seed=0)
+    assert res.phi > 0
+    assert set(res.info) == {"m"}
+
+
 def test_mountain_pass_zero_noise_recovers_ground_state(grid16):
     prob = zero_problem(grid16)
     res = a2.mountain_pass_solve(prob, tol=1e-10, seed=0)
