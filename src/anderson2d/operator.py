@@ -31,7 +31,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .grid import dirac, fourier_multiply, geodesic_dist_field, inner_l2, norm_l2
+from .grid import (GridMismatchError, dirac, fourier_multiply,
+                   geodesic_dist_field, inner_l2, norm_l2)
 from .noise import NoiseSample
 
 
@@ -96,22 +97,45 @@ def _source_lattice(grid):
             for j in range(0, grid.n, step)][:4]
 
 
+def _check_fields(grid, u):
+    """u as a float array: an (n, n) field or a (k, n, n) stack of fields."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (grid.n, grid.n):
+        raise GridMismatchError(
+            f"field shape {u.shape} is neither ({grid.n}, {grid.n}) nor a "
+            f"stack (k, {grid.n}, {grid.n})")
+    return u
+
+
 def _b_of(block):
     """B Y of a block (Y, A Y, B Y) of row fields; B Y is None when B = I."""
     return block[0] if block[2] is None else block[2]
 
 
-def _combine(terms):
-    """Sum of C @ Y over (C, block) terms for Y, A Y and B Y alike; a C of
-    None stands for the identity."""
-    return tuple(None if terms[0][1][s] is None else
-                 sum(blk[s] if c is None else c @ blk[s] for c, blk in terms)
-                 for s in range(3))
+def _matmul(c, z):
+    """c @ z for a 2-D c.  A c of one column multiplies by broadcasting:
+    the products are the same, and numpy's matmul is slow on that shape."""
+    return c * z if c.shape[1] == 1 else c @ z
+
+
+def _times(c, block):
+    """The block C Y: C applied to each of Y, A Y and B Y."""
+    return tuple(None if z is None else _matmul(c, z) for z in block)
+
+
+def _update(ufunc, block, other, c=None):
+    """Set each of Y, A Y and B Y of ``block`` in place to ufunc(it, C times
+    its counterpart in ``other``), ufunc being np.add or np.subtract and a
+    C of None the identity; returns block."""
+    for z, w in zip(block, other):
+        if z is not None:
+            ufunc(z, w if c is None else _matmul(c, w), out=z)
+    return block
 
 
 def _project_off(r, E):
     """Rows of r minus their components along the orthonormal rows of E[0]."""
-    return r if E is None else r - (r @ E[0].T) @ E[0]
+    return r if E is None else r - _matmul(r @ E[0].T, E[0])
 
 
 def _b_orthonormalize(block):
@@ -121,7 +145,7 @@ def _b_orthonormalize(block):
         inv = np.linalg.inv(np.linalg.cholesky(block[0] @ _b_of(block).T))
     except np.linalg.LinAlgError:
         return None
-    return tuple(None if z is None else inv @ z for z in block)
+    return _times(inv, block)
 
 
 def _rayleigh_ritz(blocks, k):
@@ -156,7 +180,7 @@ def _lobpcg(X, precondition, E):
     if X is None:
         raise SolverError("LOBPCG start block is linearly dependent")
     vals, coeff = _rayleigh_ritz([X], k)
-    X = _combine([(coeff.T, X)])
+    X = _times(coeff.T, X)
     active = np.ones(k, dtype=bool)
     P = None
     for _ in range(MAX_ITERATIONS):
@@ -164,10 +188,12 @@ def _lobpcg(X, precondition, E):
         active &= np.linalg.norm(R, axis=1) > 1e-10
         if not active.any():
             break
+        # W is fresh: project it off the constraints and off X in place
         W = precondition(R[active])
         if E is not None:
-            W = _combine([(None, W), (-(W[0] @ E[0].T), E)])
-        W = _b_orthonormalize(_combine([(None, W), (-(W[0] @ _b_of(X).T), X)]))
+            _update(np.subtract, W, E, W[0] @ E[0].T)
+        _update(np.subtract, W, X, W[0] @ _b_of(X).T)
+        W = _b_orthonormalize(W)
         if W is None:
             break
         blocks = [X, W]
@@ -184,8 +210,10 @@ def _lobpcg(X, precondition, E):
             break
         vals, coeff = ritz
         parts = np.split(coeff, np.cumsum([len(b[0]) for b in blocks])[:-1])
-        P = _combine([(c.T, b) for c, b in zip(parts[1:], blocks[1:])])
-        X = _combine([(parts[0].T, X), (None, P)])
+        P = _times(parts[1].T, W)
+        if len(blocks) == 3:
+            _update(np.add, P, blocks[2], parts[2].T)
+        X = _update(np.add, _times(parts[0].T, X), P)
         del blocks, W  # the old basis is dead; free it before the next step
     return X[0]
 
@@ -213,8 +241,8 @@ class AndersonOperator:
     # -- basic applications -------------------------------------------------
 
     def apply_h(self, u):
-        """H u = Delta u + xi * u."""
-        u = self.grid.check_field(u)
+        """H u = Delta u + xi * u, for a field or a (k, n, n) stack of them."""
+        u = _check_fields(self.grid, u)
         return laplacian_apply(self.grid, u) + self.xi * u
 
     def apply_minus_hc(self, u, lam=0.0):
@@ -255,8 +283,12 @@ class AndersonOperator:
         restricts the pencil to their L^2-orthogonal complement.
 
         Block LOBPCG (Knyazev 2001) runs from ``start``, a (k, n, n) stack,
-        or from a seeded random block, projected off the constraints.  Each
-        iteration applies the preconditioner T = (-Delta + sigma)^{-1},
+        projected off the constraints.  Without a start it runs from a seeded
+        random block, except that a single pair without constraints starts
+        from the constant field plus a 1e-2 share of that noise: for B = I
+        it is the ground state of -Delta + V, which is positive and so has a
+        component along the constant.
+        Each iteration applies the preconditioner T = (-Delta + sigma)^{-1},
         with sigma = max(mean(V + xi), 0) + 1 (1 for the shift's V = -xi),
         to the active residuals R in one fourier_multiply call and needs no
         other FFT: (-Delta + sigma) T R = R gives A T R = R + (V - sigma) T R
@@ -299,6 +331,10 @@ class AndersonOperator:
         else:
             if start is None:
                 x = np.random.default_rng(0).standard_normal((size, k)).T
+                if k == 1 and not m:
+                    # near the positive ground state; the noise share keeps
+                    # a symmetric V from trapping x in an invariant subspace
+                    x = 1.0 / np.sqrt(size) + 1e-2 * x / np.linalg.norm(x)
             else:
                 x = np.reshape(start, (k, size))
             sigma = max(float(np.mean(va + self.xi.ravel())), 0.0) + 1.0
@@ -318,7 +354,7 @@ class AndersonOperator:
         if ritz is None:
             raise SolverError("LOBPCG ended on a linearly dependent block")
         vals, coeff = ritz
-        X = _combine([(coeff.T, X)])
+        X = _times(coeff.T, X)
         unit = 1.0 / np.linalg.norm(X[0], axis=1)
         res = unit * np.linalg.norm(
             _project_off(X[1] - vals[:, None] * _b_of(X), E), axis=1)
@@ -398,13 +434,15 @@ class AndersonOperator:
         T_k(X) u, run to the longest series, serves every time; each time
         sums its own terms in the order of a single-time call and stops at
         its own length, so its result does not depend on the other times.
-        A number t gives an (n, n) field, a sequence a (len(t), n, n) stack.
+        u is an (n, n) field or a (k, n, n) stack, whose fields run through
+        the recurrence together.  A number t gives an array of u's shape, a
+        sequence a stack of len(t) of them.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1 or times.size == 0 or not np.all(times > 0):
             raise ValueError(f"heat times must be positive, a number or a "
                              f"non-empty 1-D sequence, got {t!r}")
-        u = self.grid.check_field(u)
+        u = _check_fields(self.grid, u)
         lo = float(self.grid.lap_multiplier_half.min() + self.xi.min()) - self.c
         hi = self.lambda_max_h - self.c
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -435,12 +473,12 @@ class AndersonOperator:
         """Positivity / Gaussian-bound / decay-rate report for p_t.
 
         Builds heat-kernel columns from Dirac masses at ``sources`` (by
-        default four points of a coarse lattice), one heat_apply call per
-        source for all of ``t_list``, least-squares fits
+        default four points of a coarse lattice), least-squares fits
         log p_t ~ alpha - log t - a2 d^2/t over d >= 4h, picks a1 as the
         smallest constant sandwiching the kernel with the fitted a2, and
         measures the uniform decay rate
-        epsilon = min_t -log(max_x e^{t H_c} 1)/t.
+        epsilon = min_t -log(max_x e^{t H_c} 1)/t.  One heat_apply call
+        gives every time for the stack of the Diracs and the constant field.
         """
         t_list = [float(t) for t in t_list]
         if any(t <= 0 or t > 1 for t in t_list):
@@ -449,14 +487,16 @@ class AndersonOperator:
         n = grid.n
         if sources is None:
             sources = _source_lattice(grid)
+        heat = self.heat_apply(
+            t_list, np.stack([dirac(grid, x0) for x0 in sources]
+                             + [np.ones((n, n))]))
 
         min_kernel = np.inf
         negative_sites = []
         xs, ys = [], []  # regression: y = log p + log t, x = d^2/t
-        for x0 in sources:
+        for i, x0 in enumerate(sources):
             d = geodesic_dist_field(grid, x0)
-            cols = self.heat_apply(t_list, dirac(grid, x0))
-            for t, col in zip(t_list, cols):
+            for t, col in zip(t_list, heat[:, i]):
                 m = float(col.min())
                 if m < min_kernel:
                     min_kernel = m
@@ -482,8 +522,8 @@ class AndersonOperator:
         lower = np.max(-(y + a2 * x))  # p >= 1/(a1 t) e^{-a2 d^2/t}
         a1 = float(np.exp(min(max(upper, lower, 0.0), 700.0)))
 
-        flows = self.heat_apply(t_list, np.ones((n, n)))
-        eps = min(-np.log(float(flow.max())) / t for t, flow in zip(t_list, flows))
+        eps = min(-np.log(float(flow.max())) / t
+                  for t, flow in zip(t_list, heat[:, -1]))
 
         return {
             "a1": a1,

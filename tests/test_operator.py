@@ -42,12 +42,41 @@ def test_real_fft_layer_matches_complex_oracle(n):
         np.fft.ifft2(np.fft.fft2(u) * np.fft.fft2(w))))
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+def test_one_column_products_are_matmul_bit_for_bit(rows):
+    # LOBPCG's coefficient matrices with one column multiply by broadcasting
+    rng = np.random.default_rng(3)
+    c, z = rng.standard_normal((rows, 1)), rng.standard_normal((1, 96 * 96))
+    got = a2.operator._matmul(c, z)
+    assert got.shape == (rows, 96 * 96)
+    assert np.array_equal(got, c @ z)
+
+
 def test_apply_h_zero_noise(grid16, op16_zero):
     g = grid16
     c1 = np.cos(g.x1 + 0 * g.x2)
     out = op16_zero.apply_h(c1)
     assert np.max(np.abs(out + c1)) <= 1e-12
     assert np.max(np.abs(op16_zero.apply_h(g.zeros()))) == 0.0
+
+
+def test_apply_h_and_heat_apply_take_stacks(grid8, op8):
+    # a (k, n, n) stack gives each field's own result bit for bit
+    stack = np.stack([random_field(grid8, s) for s in (1, 2, 3)])
+    out = op8.apply_h(stack)
+    assert out.shape == (3, 8, 8)
+    heat = op8.heat_apply((0.5, 1e-3), stack)
+    assert heat.shape == (2, 3, 8, 8)
+    for i, v in enumerate(stack):
+        assert np.array_equal(out[i], op8.apply_h(v))
+        assert np.array_equal(op8.heat_apply(0.5, stack)[i],
+                              op8.heat_apply(0.5, v))
+        assert np.array_equal(heat[:, i], op8.heat_apply((0.5, 1e-3), v))
+    for bad in (np.zeros(64), np.zeros((8, 4)), np.zeros((2, 2, 8, 8))):
+        with pytest.raises(a2.GridMismatchError):
+            op8.apply_h(bad)
+        with pytest.raises(a2.GridMismatchError):
+            op8.heat_apply(0.5, bad)
 
 
 def test_apply_h_matches_dense(grid8, op8):
@@ -278,6 +307,20 @@ def test_heat_kernel_diagnostics_zero_noise(op16_zero):
     assert 0.2 <= short["a2"] <= 5.0
     with pytest.raises(ValueError):
         op16_zero.heat_kernel_diagnostics([0.0, 0.1])
+
+
+def test_heat_kernel_diagnostics_runs_one_heat_apply(monkeypatch):
+    g = TorusGrid(16)
+    op = AndersonOperator(g, a2.sample_white_noise(g, 5))
+    calls = []
+    heat_apply = AndersonOperator.heat_apply
+    monkeypatch.setattr(AndersonOperator, "heat_apply",
+                        lambda self, t, u: calls.append(np.shape(u))
+                        or heat_apply(self, t, u))
+    op.heat_kernel_diagnostics([0.05, 0.1],
+                               sources=[(0, 0), (3, 9), (8, 8), (15, 2)])
+    # the four Diracs and the constant field share one recurrence
+    assert calls == [(5, 16, 16)]
 
 
 def test_heat_kernel_gaussian_fit_against_theta_oracle():

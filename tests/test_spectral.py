@@ -440,8 +440,9 @@ def test_gap_delta_halves_the_operator_products(monkeypatch):
     a2.gap_delta(op, a, spec)
     assert len(calls) <= 119
     # fields through a real-FFT pair (a stack of k counts k): one per
-    # column and LOBPCG iteration, plus the start block and the final check
-    assert init_fields <= 34
+    # column and LOBPCG iteration, plus the start block and the final check;
+    # the lambda_max solve starts near the ground state (29 steps)
+    assert init_fields <= 31
     assert eigen_fields <= 227
     assert stage_fields() <= 30
 
