@@ -10,7 +10,6 @@ from .grid import (
     convolve,
     dirac,
     fourier_multiply,
-    geodesic_dist,
     geodesic_dist_field,
     inner_l2,
     load_field,

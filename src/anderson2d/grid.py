@@ -123,19 +123,6 @@ def norm_lp(grid, u, p):
     return float((grid.cell_measure * np.sum(np.abs(u) ** p)) ** (1.0 / p))
 
 
-def geodesic_dist(grid, x, y):
-    """Geodesic (wrap-around) distance between two grid points given as
-    index pairs."""
-    d = 0.0
-    for xi, yi in zip(x, y):
-        if not (0 <= xi < grid.n and 0 <= yi < grid.n):
-            raise IndexError(f"grid index out of range: {x}, {y}")
-        delta = abs(xi - yi) * grid.h
-        delta = min(delta, TWO_PI - delta)
-        d += delta * delta
-    return float(np.sqrt(d))
-
-
 def geodesic_dist_field(grid, x0=(0, 0)):
     """Field of geodesic distances d(., x0); d(x0, x0) = 0."""
     i = np.arange(grid.n)
@@ -147,11 +134,18 @@ def geodesic_dist_field(grid, x0=(0, 0)):
 
 
 def fourier_multiply(grid, u, symbol):
-    """irfft2(rfft2(u) * symbol), ``symbol`` on the rfft2 half-spectrum of
-    shape (n, n//2 + 1): the package's one Fourier multiplier on fields."""
-    u_hat = np.fft.rfft2(u)
+    """irfft2(rfft2(u) * symbol, s=(n, n)), ``symbol`` on the rfft2
+    half-spectrum of shape (n, n//2 + 1): the package's one Fourier
+    multiplier on fields, for a field or a (k, n, n) stack.
+
+    It runs the one-axis passes of rfftn/irfftn in their order (rfft along
+    the last axis, then fft along the first), so the bits are the same, but
+    the complex passes work in place and skip numpy's n-D wrapper."""
+    u_hat = np.fft.rfft(u, axis=-1)
+    np.fft.fft(u_hat, axis=-2, out=u_hat)
     u_hat *= symbol
-    return np.fft.irfft2(u_hat, s=(grid.n, grid.n))
+    np.fft.ifft(u_hat, axis=-2, out=u_hat)
+    return np.fft.irfft(u_hat, n=grid.n, axis=-1)
 
 
 def convolve(grid, u, w):

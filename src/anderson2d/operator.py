@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dsygvd
 
 from .grid import (GridMismatchError, dirac, fourier_multiply,
                    geodesic_dist_field, inner_l2, norm_l2)
@@ -151,23 +152,32 @@ def _b_orthonormalize(block):
 def _rayleigh_ritz(blocks, k):
     """Lowest k Ritz pairs of the pencil on the span of the blocks' rows, as
     (values, coefficient columns); None when the B Gram matrix is not
-    positive definite."""
-    edges = np.cumsum([0] + [len(b[0]) for b in blocks])
+    positive definite.
+
+    The pencil goes straight to LAPACK's dsygvd, the driver that
+    scipy.linalg.eigh picks for a full generalized problem, so the bits are
+    eigh's without its per-call overhead.  A Gram entry that is not finite
+    raises ValueError."""
+    edges = [0]
+    for b in blocks:
+        edges.append(edges[-1] + len(b[0]))
 
     def gram(product):
-        # eigh reads the upper triangle only, so the lower blocks stay unset
+        # dsygvd reads the upper triangle only, so the lower blocks stay unset
         g = np.zeros((edges[-1], edges[-1]))
         for i, bi in enumerate(blocks):
             for j in range(i, len(blocks)):
                 g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] = (
                     bi[0] @ product(blocks[j]).T)
+        if not np.isfinite(g).all():
+            raise ValueError("Rayleigh-Ritz Gram matrix is not finite")
         return g
 
-    try:
-        vals, vecs = scipy.linalg.eigh(gram(lambda b: b[1]), gram(_b_of),
-                                       lower=False)
-    except np.linalg.LinAlgError:
+    vals, vecs, info = dsygvd(gram(lambda b: b[1]), gram(_b_of), uplo="U")
+    if info > 0:
         return None
+    if info < 0:
+        raise ValueError(f"dsygvd: illegal value in argument {-info}")
     return vals[:k], vecs[:, :k]
 
 
@@ -209,11 +219,13 @@ def _lobpcg(X, precondition, E):
         if ritz is None:
             break
         vals, coeff = ritz
-        parts = np.split(coeff, np.cumsum([len(b[0]) for b in blocks])[:-1])
-        P = _times(parts[1].T, W)
+        # coefficient rows of X, W and P
+        i = len(X[0])
+        j = i + len(W[0])
+        P = _times(coeff[i:j].T, W)
         if len(blocks) == 3:
-            _update(np.add, P, blocks[2], parts[2].T)
-        X = _update(np.add, _times(parts[0].T, X), P)
+            _update(np.add, P, blocks[2], coeff[j:].T)
+        X = _update(np.add, _times(coeff[:i].T, X), P)
         del blocks, W  # the old basis is dead; free it before the next step
     return X[0]
 
@@ -254,9 +266,6 @@ class AndersonOperator:
         """||u||_E = sqrt(<(-H + c) u, u>_{L^2})."""
         q = inner_l2(self.grid, self.apply_minus_hc(u), u)
         return float(np.sqrt(max(q, 0.0)))
-
-    def energy_inner(self, u, v):
-        return inner_l2(self.grid, self.apply_minus_hc(u), v)
 
     def dense_h(self):
         """Dense n^2 x n^2 matrix of H in the nodal basis (an oracle)."""
@@ -396,10 +405,13 @@ class AndersonOperator:
         stop = rtol * float(np.linalg.norm(rhs))
         # q = A p; from p = q = 0 the first step sets p = z and q = A z
         u, p, q = grid.zeros(), grid.zeros(), grid.zeros()
+        tmp = np.empty_like(u)  # scratch for d z, alpha p and alpha q
         r = rhs.copy()
         rho_prev = 1.0
         iters = 0
-        while iters < 10 * grid.n * grid.n and np.linalg.norm(r) > stop:
+        # sqrt(r . r) has the bits of np.linalg.norm(r), without its overhead
+        while (iters < 10 * grid.n * grid.n
+               and np.sqrt(np.vdot(r, r)) > stop):
             z = precondition(r)
             rho = np.vdot(r, z)
             beta = rho / rho_prev
@@ -407,10 +419,10 @@ class AndersonOperator:
             p += z
             q *= beta
             q += r  # A z = P^{-1} z + d z = r + d z
-            q += d * z
+            q += np.multiply(d, z, out=tmp)
             alpha = rho / np.vdot(p, q)
-            u += alpha * p
-            r -= alpha * q
+            u += np.multiply(alpha, p, out=tmp)
+            r -= np.multiply(alpha, q, out=tmp)
             rho_prev = rho
             iters += 1
         res = norm_l2(grid, self.apply_minus_hc(u, lam) - rhs)

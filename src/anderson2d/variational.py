@@ -349,28 +349,42 @@ def _result_from(problem, u, iterations, method, trace=None, seed=None,
 
 def _initial_amplitude(problem, v):
     """Nehari scale of a direction v: the root t of psi(t) = Q(v) t -
-    <f(t v), v>, bracketed by the first sign change on a geometric scan
-    and found to rounding by Newton steps on psi, psi'(t) = Q(v) -
+    <f(t v), v>, bracketed on the geometric grid ts = geomspace(1e-2, 1e3,
+    60) and found to rounding by Newton steps on psi, psi'(t) = Q(v) -
     <f'(t v) v, v>, that fall back to bisection when they leave the
-    bracket (1 when the scan finds no sign change).  The scan evaluates
-    psi in stacked chunks of 15 points and stops at the first chunk that
-    shows the sign change."""
+    bracket.
+
+    The bracket search starts at the two grid points around t = 1, ts[23]
+    and ts[24], and walks one point at a time up while psi > 0 and down
+    while it is not, until psi changes sign; it returns 1 when the walk
+    leaves the grid.  When f(z)/z increases in |z| (pow3, pow_ell),
+    psi(t)/t decreases, so each ray meets the Nehari manifold at most once
+    (Szulkin & Weth 2009) and psi > 0 below the root: the walk finds the
+    bracket of the grid's one sign change, while evaluating psi only near
+    the root, which for a direction of unit scale lies next to t = 1."""
     op, grid = problem.op, problem.grid
     nl = problem.nl
     quad = op.energy_norm(v)**2 + inner_l2(grid, problem.a.field * v, v)
     ts = np.geomspace(1e-2, 1e3, 60)
-    vals = np.empty(0)
-    for k in range(0, len(ts), 15):
-        chunk = ts[k:k + 15]
-        vals = np.append(vals, quad * chunk - grid.cell_measure * np.sum(
+
+    def signs(chunk):
+        return np.sign(quad * chunk - grid.cell_measure * np.sum(
             nl.f(chunk[:, None, None] * v) * v, axis=(1, 2)))
-        sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
-        if len(sign_change):
-            break
-    else:
-        return 1.0
-    i = sign_change[0]
-    lo, hi, lo_positive = ts[i], ts[i + 1], vals[i] > 0
+
+    i = 23  # ts[23] < 1 < ts[24]
+    s_lo, s_hi = signs(ts[i:i + 2])
+    while s_lo == s_hi:
+        if s_hi > 0:  # the root lies above ts[i + 1]
+            i += 1
+            if i + 1 == len(ts):
+                return 1.0
+            s_lo, s_hi = s_hi, signs(ts[i + 1:i + 2])[0]
+        else:
+            i -= 1
+            if i < 0:
+                return 1.0
+            s_lo, s_hi = signs(ts[i:i + 1])[0], s_lo
+    lo, hi, lo_positive = ts[i], ts[i + 1], s_lo > 0
     t = 0.5 * (lo + hi)
     for _ in range(100):
         tv = t * v

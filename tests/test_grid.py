@@ -74,18 +74,6 @@ def test_norm_lp_quadrature_oracle(grid8):
     assert a2.norm_lp(grid8, u8, p) == pytest.approx(fine, rel=1e-12)
 
 
-def test_geodesic_dist(grid16):
-    g = grid16
-    assert a2.geodesic_dist(g, (3, 5), (3, 5)) == 0.0
-    assert a2.geodesic_dist(g, (0, 0), (g.n // 2, 0)) == pytest.approx(PI)
-    assert a2.geodesic_dist(g, (0, 0), (g.n - 1, 0)) == pytest.approx(g.h)
-    # symmetry and torus diameter
-    assert a2.geodesic_dist(g, (1, 2), (9, 14)) == a2.geodesic_dist(g, (9, 14), (1, 2))
-    assert a2.geodesic_dist(g, (0, 0), (8, 8)) <= PI * np.sqrt(2) + 1e-12
-    with pytest.raises(IndexError):
-        a2.geodesic_dist(g, (0, 0), (16, 0))
-
-
 def test_fourier_multiply_identity_and_mode_mask(grid16):
     g = grid16
     u = random_field(g, 3)
@@ -101,11 +89,34 @@ def test_fourier_multiply_identity_and_mode_mask(grid16):
     assert np.max(np.abs(a2.fourier_multiply(g, c2, mask))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 32, 96])
+@pytest.mark.parametrize("shape", ["field", "stack"])
+@pytest.mark.parametrize("spectrum", ["real", "kernel"])
+def test_fourier_multiply_is_rfft2_pair_bit_for_bit(n, shape, spectrum):
+    g = TorusGrid(n)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((n, n) if shape == "field" else (3, n, n))
+    if spectrum == "real":
+        symbol = rng.standard_normal((n, n // 2 + 1))
+    else:
+        symbol = np.fft.rfft2(rng.standard_normal((n, n)))
+    expect = np.fft.irfft2(np.fft.rfft2(u) * symbol, s=(n, n))
+    got = a2.fourier_multiply(g, u, symbol)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
 def _fft_call_sites(names):
     """{name: {"module.function"}} for each use of numpy.fft's ``names`` in
-    the package source, as an attribute or an import, attributed to the
-    innermost enclosing def or class."""
+    the package source, as an attribute of the np.fft (or numpy.fft) module
+    or a from-import of it, attributed to the innermost enclosing def or
+    class.  Only functions of the module count: the ``fft`` in
+    ``np.fft.rfft2`` is the module itself."""
     sites = {name: set() for name in names}
+
+    def is_fft_module(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, module):
@@ -119,13 +130,15 @@ def _fft_call_sites(names):
         visit_ClassDef = visit_FunctionDef
 
         def visit_Attribute(self, node):
-            if node.attr in sites:
+            if node.attr in sites and is_fft_module(node.value):
                 sites[node.attr].add(".".join(self.scope))
             self.generic_visit(node)
 
-        def visit_alias(self, node):
-            if node.name in sites:
-                sites[node.name].add(".".join(self.scope))
+        def visit_ImportFrom(self, node):
+            if node.module == "numpy.fft":
+                for alias in node.names:
+                    if alias.name in sites:
+                        sites[alias.name].add(".".join(self.scope))
 
     for path in sorted(Path(a2.__file__).parent.glob("*.py")):
         Visitor(path.stem).visit(ast.parse(path.read_text()))
@@ -133,14 +146,22 @@ def _fft_call_sites(names):
 
 
 def test_every_field_fft_goes_through_fourier_multiply():
-    sites = _fft_call_sites(("rfft2", "irfft2", "fft2", "ifft2"))
+    sites = _fft_call_sites(("rfft2", "irfft2", "fft2", "ifft2",
+                             "rfft", "irfft", "fft", "ifft"))
+    # fourier_multiply runs rfft2/irfft2 as one-axis passes
+    multiply = {"grid.fourier_multiply"}
+    for name in ("rfft", "irfft", "ifft"):
+        assert sites[name] == multiply
+    # besides it, the 1-D transform of the Chebyshev heat coefficients
+    assert sites["fft"] == multiply | {
+        "operator.chebyshev_heat_coefficients"}
     # forward transforms of a field that no symbol multiplies: a kernel's
     # half-spectrum, taken once, and the Fourier coefficients of an
     # eigencluster
-    assert sites["rfft2"] == {"grid.fourier_multiply", "grid.convolve",
+    assert sites["rfft2"] == {"grid.convolve",
                               "choquard.ChoquardProblem.__post_init__",
                               "spectral._canonicalize_clusters"}
-    assert sites["irfft2"] == {"grid.fourier_multiply"}
+    assert sites["irfft2"] == set()
     dense = {"operator.AndersonOperator.dense_h"}
     assert sites["fft2"] == dense and sites["ifft2"] == dense
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 import anderson2d as a2
@@ -50,6 +51,45 @@ def test_one_column_products_are_matmul_bit_for_bit(rows):
     got = a2.operator._matmul(c, z)
     assert got.shape == (rows, 96 * 96)
     assert np.array_equal(got, c @ z)
+
+
+def _gram_oracle(blocks, product):
+    """The Rayleigh-Ritz Gram matrix with every block filled in."""
+    return np.block([[bi[0] @ product(bj).T for bj in blocks]
+                     for bi in blocks])
+
+
+@pytest.mark.parametrize("with_b", [False, True])
+def test_rayleigh_ritz_matches_scipy_eigh_bit_for_bit(with_b):
+    rng = np.random.default_rng(11)
+    size = 64
+    sym = rng.standard_normal((size, size))
+    a_mat = sym + sym.T
+    b_mat = np.eye(size) + 0.1 * (sym @ sym.T) / size
+    b_of = a2.operator._b_of
+    for sizes in ([3], [4, 4], [5, 3, 2]):
+        blocks = []
+        for rows in sizes:
+            y = rng.standard_normal((rows, size))
+            blocks.append((y, y @ a_mat, y @ b_mat if with_b else None))
+        vals, vecs = scipy.linalg.eigh(_gram_oracle(blocks, lambda b: b[1]),
+                                       _gram_oracle(blocks, b_of),
+                                       lower=False)
+        k = sizes[0]
+        got_vals, got_vecs = a2.operator._rayleigh_ritz(blocks, k)
+        assert got_vals.tobytes() == vals[:k].tobytes()
+        assert got_vecs.tobytes() == vecs[:, :k].tobytes()
+
+
+def test_rayleigh_ritz_indefinite_b_and_nan():
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal((3, 20))
+    # B = -I makes the B Gram matrix negative definite
+    assert a2.operator._rayleigh_ritz([(y, y, -y)], 2) is None
+    bad = y.copy()
+    bad[1, 4] = np.nan
+    with pytest.raises(ValueError):
+        a2.operator._rayleigh_ritz([(y, bad, None)], 2)
 
 
 def test_apply_h_zero_noise(grid16, op16_zero):
@@ -194,15 +234,16 @@ def test_resolvent_matches_scipy_cg_with_half_the_ffts(monkeypatch):
     lam = 1.0 + a2.potentials.smooth_random(g, 6, 0.5).field
     rhs = random_field(g, 8)
     calls = []
-    rfft2 = np.fft.rfft2
+    rfft = np.fft.rfft  # the forward pass of every fourier_multiply
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return rfft2(*args, **kwargs)
+        return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft2", counting)
+    monkeypatch.setattr(np.fft, "rfft", counting)
     sol = op.resolvent_solve(lam, rhs, rtol=1e-12)
     fused = len(calls)
+    assert fused > 0
     # the unfused preconditioned CG, as a test-only oracle
     calls.clear()
     A = a2.operator.flat_operator(g, lambda u: op.apply_minus_hc(u, lam))

@@ -115,7 +115,7 @@ def test_riesz_gradient_identity(grid8, op8):
     r, g = a2.energy_gradient(prob, u)
     for _ in range(5):
         v = rng.standard_normal((8, 8))
-        lhs = op8.energy_inner(g, v)
+        lhs = a2.inner_l2(grid8, op8.apply_minus_hc(g), v)
         rhs = a2.inner_l2(grid8, r, v)
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
     gn = a2.grad_e_norm(prob, r, g)
@@ -444,6 +444,46 @@ def _bisected_scale(problem, v):
     return mid
 
 
+def _scanned_scale(problem, v):
+    """Oracle: the Nehari scale bracketed by the first sign change of the
+    whole 60-point scan, taken in chunks of 15 points, then refined by the
+    same safeguarded Newton steps."""
+    op, grid, nl = problem.op, problem.grid, problem.nl
+    quad = op.energy_norm(v)**2 + a2.inner_l2(grid, problem.a.field * v, v)
+    ts = np.geomspace(1e-2, 1e3, 60)
+    vals = np.empty(0)
+    for k in range(0, len(ts), 15):
+        chunk = ts[k:k + 15]
+        vals = np.append(vals, quad * chunk - grid.cell_measure * np.sum(
+            nl.f(chunk[:, None, None] * v) * v, axis=(1, 2)))
+        sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
+        if len(sign_change):
+            break
+    else:
+        return 1.0
+    i = sign_change[0]
+    lo, hi, lo_positive = ts[i], ts[i + 1], vals[i] > 0
+    t = 0.5 * (lo + hi)
+    for _ in range(100):
+        tv = t * v
+        psi = quad * t - a2.inner_l2(grid, nl.f(tv), v)
+        if psi == 0:
+            break
+        if (psi > 0) == lo_positive:
+            lo = t
+        else:
+            hi = t
+        dpsi = quad - a2.inner_l2(grid, nl.dfdz(tv) * v, v)
+        t_new = t - psi / dpsi if dpsi != 0 else np.nan
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        done = abs(t_new - t) <= 1e-14 * t
+        t = t_new
+        if done:
+            break
+    return float(t)
+
+
 @pytest.mark.parametrize("nl", [
     a2.pow3(), a2.pow_ell(4),
     a2.tabulated(np.linspace(-40, 40, 40001), np.linspace(-40, 40, 40001)**3,
@@ -454,8 +494,40 @@ def test_initial_amplitude_matches_bisection(grid16, nl):
     prob = a2.AndersonProblem(op=op, a=spike(grid16, 2.0), nl=nl)
     for seed in range(4):
         v = random_field(grid16, seed, scale=0.2 * 3.0**seed)
-        oracle = _bisected_scale(prob, v)
-        assert _initial_amplitude(prob, v) == pytest.approx(oracle, rel=1e-14)
+        t = _initial_amplitude(prob, v)
+        assert t == pytest.approx(_bisected_scale(prob, v), rel=1e-14)
+        # f(z)/z increases in |z|, so the whole scan has one sign change,
+        # and the walk from t = 1 finds its bracket: the same t to the bit
+        assert t == _scanned_scale(prob, v)
+    # psi = 0 on the whole grid: no sign change, scale 1
+    assert _initial_amplitude(prob, np.zeros((16, 16))) == 1.0
+
+
+def test_initial_amplitude_scans_only_next_to_its_root(grid16):
+    fields = {"f": 0, "dfdz": 0}
+
+    def counted(name, fn):
+        def wrapped(z):
+            fields[name] += np.size(z) // 16**2
+            return fn(z)
+        return wrapped
+
+    base = a2.pow3()
+    nl = Nonlinearity(f=counted("f", base.f), dfdz=counted("dfdz", base.dfdz),
+                      F=base.F, ell=base.ell, gamma=base.gamma, k=base.k,
+                      odd=base.odd, name="counted")
+    op = a2.AndersonOperator(grid16, a2.sample_white_noise(grid16, 5))
+    prob = a2.AndersonProblem(op=op, a=spike(grid16, 2.0), nl=nl)
+    v = random_field(grid16, 3)
+    v *= _initial_amplitude(prob, v)
+    # scales within one grid step of 1: ts[22] = 0.73 and ts[25] = 1.31
+    for scale in (0.8, 0.95, 1.0, 1.05, 1.25):
+        fields.update(f=0, dfdz=0)
+        t = _initial_amplitude(prob, v / scale)
+        assert t == pytest.approx(scale, rel=1e-12)
+        # each Newton step evaluates f and then f' once, except a last step
+        # that lands on the root exactly; the rest of f's fields are the scan
+        assert fields["f"] - fields["dfdz"] <= 4
 
 
 # ---------------------------------------------------------------------------
