@@ -6,7 +6,8 @@ self-dual functional I(u) = phi(u) + phi*(-Lambda u) + <Lambda u, u>
 (phi the quadratic form, phi* its convex conjugate) is non-negative and
 vanishes exactly on solutions, which turns the equation into a
 minimization with a built-in certificate: I(u) = 1/2 <r, A^{-1} r> for
-the equation residual r.
+the equation residual r.  The descent steps along inexact Newton
+directions for A u + Lambda u = 0, each solved by GMRES.
 """
 
 import numpy as np
@@ -32,10 +33,14 @@ vals = [a2.selfdual_value(prob, rng.standard_normal((g.n, g.n)))
 print("I on random fields (all >= 0):",
       ", ".join(f"{x:.2f}" for x in vals))
 
-# minimize I to solve the equation
+# minimize I to solve the equation, along inexact Newton directions
 res = a2.selfdual_minimize(prob, init=np.ones((g.n, g.n)), tol=1e-8)
 print(f"\nminimization: converged = {res.converged}, "
       f"final I = {res.info['selfdual_value']:.2e}")
+# one A-solve for the start, one per line-search trial, one per GMRES step
+solves = 1 + res.info["line_search_trials"] + res.info["gmres_iterations"]
+print(f"{res.iterations} iterations, {solves} A-solves "
+      f"({res.info['gmres_iterations']} in GMRES)")
 print(f"equation residual ||A u + Lambda u|| = {res.residual_l2:.2e}")
 print(f"trivial solution = {res.info['trivial']} "
       f"(||u|| = {a2.norm_l2(g, res.u):.2e})")

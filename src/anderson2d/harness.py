@@ -184,9 +184,10 @@ def _write_json(obj, path):
 
 
 def _solution_frame(grid, results, outdir, files,
-                    trace_header=("iter", "phi", "grad_norm")):
+                    trace_header=("iter", "phi", "grad_norm"), omit=()):
     """solution_i.f64, result_i.json (the SolveResult's scalar fields and
-    its whole info dict) and, for a non-empty trace, trace_i.csv."""
+    its info dict, less the keys in `omit`) and, for a non-empty trace,
+    trace_i.csv."""
     for i, res in enumerate(results):
         fpath = outdir / f"solution_{i}.f64"
         tg.save_field(grid, res.u, fpath)
@@ -199,7 +200,7 @@ def _solution_frame(grid, results, outdir, files,
             "method": res.method,
             "converged": res.converged,
             "seed": res.seed,
-            **res.info,
+            **{k: v for k, v in res.info.items() if k not in omit},
         }, outdir / f"result_{i}.json"))
         if res.trace:
             files.append(emit_plotdata(
@@ -344,11 +345,16 @@ def run(config):
         results = clock("solve", lambda: variational.fountain_solve(
             inputs["problem"], config.count, tol=config.tol,
             max_iter=config.max_iter, seed=config.seed))
-        _solution_frame(grid, results, outdir, files)
+        # every result carries the same list; it is written once, here
+        _solution_frame(grid, results, outdir, files,
+                        omit=("rejected_same_level",))
         summary = {
             "requested": config.count,
             "found": len(results),
             "phi": [r.phi for r in results],
+            "rejected_same_level": (
+                results[0].info.get("rejected_same_level", [])
+                if results else []),
         }
         if len(results) < config.count:
             summary["warning"] = (f"requested {config.count} solutions, "

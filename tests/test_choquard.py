@@ -10,7 +10,8 @@ import pytest
 
 import anderson2d as a2
 from anderson2d import ChoquardProblem
-from anderson2d.choquard import _selfdual_gradient, quadratic_value
+from anderson2d.choquard import (_dlambda, _newton_direction,
+                                 _selfdual_gradient, quadratic_value)
 from anderson2d.potentials import Potential, constant
 
 from conftest import random_field
@@ -208,10 +209,11 @@ def test_selfdual_minimize_monotone_to_zero(grid16):
 
 
 def test_selfdual_minimize_evaluates_each_point_once(grid16, monkeypatch):
-    # one solve_a per line-search trial, one per descent direction and one
-    # for the start point; no point is evaluated twice, nor once more at
-    # the end
-    prob = zero_choquard(grid16)
+    # one solve_a for the start point, one per line-search trial and one
+    # per GMRES iteration of the directions; no point is evaluated twice,
+    # nor once more at the end. From the constant start on the zero-noise
+    # problem every direction takes one GMRES iteration; from the seeded
+    # start they take more.
     points, solves = [], []
     gradient = a2.choquard._selfdual_gradient
     solve_a = ChoquardProblem.solve_a
@@ -226,11 +228,18 @@ def test_selfdual_minimize_evaluates_each_point_once(grid16, monkeypatch):
 
     monkeypatch.setattr(a2.choquard, "_selfdual_gradient", counted_gradient)
     monkeypatch.setattr(ChoquardProblem, "solve_a", counted_solve)
-    res = a2.selfdual_minimize(prob, init=np.ones((16, 16)), tol=1e-6)
-    assert res.converged and res.iterations > 0
-    trials = len(points) - 1
-    assert len(solves) == 1 + trials + res.iterations
-    assert len({p.tobytes() for p in points}) == len(points)
+    for prob, init, one_each in (
+            (zero_choquard(grid16), np.ones((16, 16)), True),
+            (seeded_choquard(grid16, 57), random_field(grid16, 58), False)):
+        points.clear()
+        solves.clear()
+        res = a2.selfdual_minimize(prob, init=init, tol=1e-6)
+        assert res.converged and res.iterations > 0
+        trials = len(points) - 1
+        assert res.info["line_search_trials"] == trials
+        assert (res.info["gmres_iterations"] == res.iterations) == one_each
+        assert len(solves) == 1 + trials + res.info["gmres_iterations"]
+        assert len({p.tobytes() for p in points}) == len(points)
 
 
 def test_selfdual_minimize_line_search_remembers_its_step(grid8, monkeypatch):
@@ -319,3 +328,75 @@ def test_selfdual_gradient_matches_central_difference(grid8, p, q):
     fd = (a2.selfdual_value(prob, u + eps * v)
           - a2.selfdual_value(prob, u - eps * v)) / (2.0 * eps)
     assert abs(fd - expect) <= 1e-6 * abs(expect)
+
+
+# ---------------------------------------------------------------------------
+# the Newton direction
+
+
+def _noise_choquard(grid, noise_seed, p=2.0, q=3.0):
+    op = a2.AndersonOperator(grid, a2.sample_white_noise(grid, seed=noise_seed))
+    w = -np.abs(random_field(grid, noise_seed + 1))
+    return ChoquardProblem(op=op, a=constant(grid, 1.0), w=w, p=p, q=q)
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.5, 3.0), (1.5, 2.5)])
+def test_dlambda_matches_central_difference(grid8, p, q):
+    # DLambda(u) d against (Lambda(u + eps d) - Lambda(u - eps d)) / (2 eps)
+    prob = _noise_choquard(grid8, 61, p, q)
+    u = random_field(grid8, 63)
+    d = random_field(grid8, 64)
+    got = _dlambda(prob, u)(d)
+    eps = 1e-6
+    fd = (a2.lambda_apply(prob, u + eps * d)
+          - a2.lambda_apply(prob, u - eps * d)) / (2.0 * eps)
+    assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_newton_direction_matches_dense_oracle(grid8):
+    # (I + A^{-1} DLambda) d = -z with A inverted densely and DLambda
+    # assembled column by column; at amplitude 0.5 the matrix has condition
+    # number about 4.6 and eta = 1e-10 takes 18 iterations (34 at amplitude 1)
+    prob = _noise_choquard(grid8, 65)
+    u = random_field(grid8, 67, scale=0.5)
+    _, _, z, _ = _selfdual_gradient(prob, u)
+    mat_a = -dense_h_oracle(grid8, prob.op.xi) + prob.op.c * np.eye(64) \
+        + np.diag(prob.a.field.ravel())
+    dlam = _dlambda(prob, u)
+    mat_dl = np.column_stack([dlam(e.reshape(8, 8)).ravel()
+                              for e in np.eye(64)])
+    newton = np.eye(64) + np.linalg.solve(mat_a, mat_dl)
+    expect = np.linalg.solve(newton, -z.ravel()).reshape(8, 8)
+    d, its = _newton_direction(prob, u, z, 1e-10)
+    assert 1 <= its <= a2.choquard.GMRES_MAX_ITERATIONS
+    assert np.max(np.abs(d - expect)) <= 1e-8 * np.max(np.abs(expect))
+    # the loose forcing term of the first iterations: fewer iterations, and
+    # a freshly applied product meets the bound
+    d, loose_its = _newton_direction(prob, u, z, 0.5)
+    assert loose_its < its
+    res = -z - d - prob.solve_a(dlam(d))
+    assert np.linalg.norm(res) <= 0.5 * np.linalg.norm(z)
+
+
+def test_newton_direction_raises_at_its_cap(grid8, monkeypatch):
+    prob = _noise_choquard(grid8, 65)
+    u = random_field(grid8, 67)
+    _, _, z, _ = _selfdual_gradient(prob, u)
+    monkeypatch.setattr(a2.choquard, "GMRES_MAX_ITERATIONS", 1)
+    with pytest.raises(a2.SolverError, match="Newton GMRES not converged"):
+        _newton_direction(prob, u, z, 1e-10)
+
+
+def test_selfdual_minimize_converges_from_a_large_start():
+    # noise seed 0, a = 1, w = -1, start 4 randn: the preconditioned
+    # gradient direction -A^{-1} grad took 1212 iterations here
+    grid = a2.TorusGrid(32)
+    op = a2.AndersonOperator(grid, a2.sample_white_noise(grid, seed=0))
+    prob = ChoquardProblem(op=op, a=constant(grid, 1.0), w=-np.ones((32, 32)))
+    init = 4.0 * np.random.default_rng(1).standard_normal((32, 32))
+    res = a2.selfdual_minimize(prob, init=init, tol=1e-6)
+    assert res.converged and res.iterations <= 15
+    assert res.info["selfdual_value"] <= 1e-12
+    assert res.info["trivial"] is True
+    Is = [t[0] for t in res.trace]
+    assert all(x >= y - 1e-14 for x, y in zip(Is, Is[1:]))
