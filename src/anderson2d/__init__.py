@@ -48,7 +48,6 @@ from .variational import (
     pow_ell,
     ps_diagnostics,
     residual,
-    tabulated,
 )
 from .choquard import (
     ChoquardProblem,

@@ -11,25 +11,24 @@ applied by FFT.  Both are grid.fourier_multiply, the package's one
 rfft2 -> symbol -> irfft2 routine, with a half-spectrum symbol: the grid's
 cached -(k1^2 + k2^2) and 1 / (sigma + k1^2 + k2^2).  Only the dense_h
 oracle uses the complex fft2/ifft2.  Eigenpairs come from the package's
-own block LOBPCG, shifted solves from preconditioned CG, and the semigroup
-from a Chebyshev expansion whose one recurrence T_k(X) u serves any number
-of times at once.  Each solve checks its true residual and raises
-SolverError when it misses.
+own block LOBPCG, shifted solves from preconditioned CG, Newton's
+indefinite ones from preconditioned MINRES, and the semigroup from a
+Chebyshev expansion whose one recurrence T_k(X) u serves any number of
+times at once.  Each solve checks its true residual and raises SolverError
+when it misses.
 
-Both Krylov solvers cost one real-FFT pair per vector and iteration, not
-two.  Every operator they meet splits as (-Delta + sigma) + d with d a
-diagonal field: -H_c + lam in CG, and -Delta + V (and the pencil's
--Delta + V_B) in LOBPCG.  The product with a preconditioned residual
-z = (-Delta + sigma)^{-1} r is therefore r + d z (Eisenstat 1981), and
-only the preconditioner needs an FFT.  CG's other products follow from
+The three Krylov solvers cost one real-FFT pair per vector and iteration.
+Every operator they meet splits as (-Delta + sigma) + d with d a diagonal
+field: -H_c + lam in CG, Newton's Jacobian in MINRES, and -Delta + V (and
+the pencil's -Delta + V_B) in LOBPCG.  The product with a preconditioned
+residual z = (-Delta + sigma)^{-1} r is therefore r + d z (Eisenstat 1981),
+and only the preconditioner needs an FFT.  CG's other products follow from
 its two-term recurrence, LOBPCG's from its Rayleigh-Ritz recurrences.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dsygvd
 
 from .grid import (GridMismatchError, dirac, fourier_multiply,
@@ -50,23 +49,49 @@ def laplacian_apply(grid, u):
     return fourier_multiply(grid, u, grid.lap_multiplier_half)
 
 
-def flat_operator(grid, apply):
-    """A field map u -> apply(u) as a LinearOperator on flattened fields."""
-    n = grid.n
-    return spla.LinearOperator(
-        (n * n, n * n), dtype=float,
-        matvec=lambda v: apply(np.asarray(v, dtype=float).reshape(n, n)).ravel())
-
-
 def _shifted_laplacian_inverse(grid, sigma):
     """The field map u -> (-Delta + sigma)^{-1} u, sigma > 0, by real FFT."""
     inv_sym = 1.0 / (sigma - grid.lap_multiplier_half)
     return lambda u: fourier_multiply(grid, u, inv_sym)
 
 
-def fft_preconditioner(grid, sigma):
-    """(-Delta + sigma)^{-1}, sigma > 0, applied by real FFT."""
-    return flat_operator(grid, _shifted_laplacian_inverse(grid, sigma))
+def _minres(grid, sigma, d, rhs, rtol, maxiter):
+    """Solve ((-Delta + sigma) + d) y = rhs, a symmetric and possibly
+    indefinite system, by MINRES (Paige & Saunders 1975) with scipy's
+    recurrence, preconditioned by P = (-Delta + sigma)^{-1}, from a zero
+    start; returns (y, iterations).  A Lanczos vector is v = P r / beta, so
+    A v = r / beta + d v needs no FFT.  Stops when phibar, the P-norm of the
+    residual, falls to rtol beta_1.  Raises SolverError after maxiter
+    iterations, on a zero or non-finite gamma and for a non-finite rhs."""
+    if not np.isfinite(np.vdot(rhs, rhs)):
+        raise SolverError("MINRES right-hand side is not finite")
+    precondition = _shifted_laplacian_inverse(grid, sigma)
+    y, w, w_prev, r_prev = (grid.zeros() for _ in range(4))
+    r, z = rhs, precondition(rhs)
+    beta = beta_1 = phibar = np.sqrt(np.vdot(r, z))
+    beta_prev, dbar, eps, cs, sn = 1.0, 0.0, 0.0, -1.0, 0.0
+    iters = 0
+    while phibar > rtol * beta_1:
+        if iters == maxiter:
+            raise SolverError(f"MINRES reached its cap of {maxiter} "
+                              f"iterations: residual {phibar:.3e}")
+        v = z / beta
+        q = r / beta + d * v - (beta / beta_prev) * r_prev
+        alpha = np.vdot(v, q)
+        q -= (alpha / beta) * r
+        r_prev, r, z = r, q, precondition(q)
+        beta_prev, beta = beta, np.sqrt(np.vdot(r, z))
+        eps_prev, delta = eps, cs * dbar + sn * alpha
+        gbar, eps, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
+        gamma = np.hypot(gbar, beta)
+        if not (np.isfinite(gamma) and gamma > 0):
+            raise SolverError(f"MINRES broke down: gamma = {gamma}")
+        cs, sn = gbar / gamma, beta / gamma
+        w, w_prev = (v - eps_prev * w_prev - delta * w) / gamma, w
+        y += (cs * phibar) * w
+        phibar *= sn
+        iters += 1
+    return y, iters
 
 
 def chebyshev_heat_coefficients(z):
@@ -334,9 +359,9 @@ class AndersonOperator:
         m = 0 if constraints is None else len(constraints)
         E = apply(grid.h * np.reshape(constraints, (m, size))) if m else None
         if size - m < 5 * k:
-            # no room for a block search: the Rayleigh-Ritz step below runs
-            # on a basis of the whole complement
-            x = np.eye(size) if not m else scipy.linalg.null_space(E[0]).T
+            # no room for a block search: Rayleigh-Ritz below runs on a basis
+            # of the whole complement, E[0]'s right singular vectors past m
+            x = np.eye(size) if not m else np.linalg.svd(E[0])[2][m:]
         else:
             if start is None:
                 x = np.random.default_rng(0).standard_normal((size, k)).T

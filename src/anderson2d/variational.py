@@ -5,12 +5,12 @@ critical points are the weak solutions.  Besides a Picard fixed-point
 baseline (no convergence guarantee, diagnostic only), both saddle searches
 draw from one candidate order, `_candidates`: when no form mode is
 non-positive (m = -1), descent on the Nehari manifold from each eigenfield
-with a Newton polish; then deflated Newton, whose step is a scaled MINRES
-solve, seeded along eigenfield directions.  The mountain-pass search
-returns the first acceptable candidate, normally the local minimum of Phi
-on the Nehari manifold reached from e_0; its level bounds the least
-positive level from above but is not the least in general (see
-`mountain_pass_solve`).  The fountain search collects distinct levels.
+with a Newton polish; then deflated Newton, whose step is a scaled solve
+by the package's MINRES, seeded along eigenfield directions.  The
+mountain-pass search returns the first acceptable candidate, normally the
+local minimum of Phi on the Nehari manifold reached from e_0; its level
+bounds the least positive level from above but is not the least in general
+(see `mountain_pass_solve`).  The fountain search collects distinct levels.
 Acceptance of a candidate is residual-based and method-agnostic.
 """
 
@@ -20,10 +20,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grid import inner_l2, norm_l2
-from .operator import SolverError, fft_preconditioner, flat_operator
+from .operator import SolverError, _minres
 from .potentials import Potential
 from .spectral import eigendecompose
 
@@ -75,24 +74,6 @@ def pow_ell(ell):
         F=lambda z: np.abs(z)**(ell + 2) / (ell + 2.0),
         ell=float(ell + 2), gamma=float(ell + 2), k=1.0, odd=True,
         name=f"pow:{ell}",
-    )
-
-
-def tabulated(z_table, f_table, ell, gamma, k, odd=False):
-    """Nonlinearity interpolated from samples, with quadrature-built F."""
-    z_table = np.asarray(z_table, dtype=float)
-    f_table = np.asarray(f_table, dtype=float)
-    order = np.argsort(z_table)
-    z_table, f_table = z_table[order], f_table[order]
-    F_table = np.concatenate([[0.0], np.cumsum(
-        0.5 * (f_table[1:] + f_table[:-1]) * np.diff(z_table))])
-    F_table -= np.interp(0.0, z_table, F_table)
-    df_table = np.gradient(f_table, z_table)
-    return Nonlinearity(
-        f=lambda z: np.interp(z, z_table, f_table),
-        dfdz=lambda z: np.interp(z, z_table, df_table),
-        F=lambda z: np.interp(z, z_table, F_table),
-        ell=ell, gamma=gamma, k=k, odd=odd, name="tabulated",
     )
 
 
@@ -278,24 +259,19 @@ def _newton_step(problem, u, R, Mgrad):
     step y, J y = -R with J = -H_c + a - f'(u), times 1 / (1 - <grad(log
     M), y>), since the deflated Jacobian M (J + R grad(log M)^T) is M J
     plus a rank-one term (Farrell, Birkisson & Funke 2015).  MINRES solves
-    the symmetric system, preconditioned by (-Delta + c)^{-1}, to rtol 1e-8
-    within 10 n^2 iterations.  SolverError is raised unless it converged
-    with ||J y + R|| <= 0.1 ||R|| (an inexact-Newton forcing bound) and the
-    scalar is finite."""
+    J y = -R on the split J = (-Delta + c) + (a - f'(u) - xi), preconditioned
+    by (-Delta + c)^{-1}, to rtol 1e-8 within 10 n^2 iterations.
+    SolverError is raised unless it converged with ||J y + R|| <= 0.1 ||R||
+    (an inexact-Newton forcing bound) and the scalar is finite."""
     op, grid = problem.op, problem.grid
-    dfu = problem.nl.dfdz(u)
-
-    def jacobian(w):
-        return op.apply_minus_hc(w) + (problem.a.field - dfu) * w
-
-    y, info = spla.minres(flat_operator(grid, jacobian), -R.ravel(),
-                          M=fft_preconditioner(grid, op.c), rtol=1e-8,
-                          maxiter=10 * grid.n * grid.n)
-    y = y.reshape(R.shape)
-    res, r_norm = norm_l2(grid, jacobian(y) + R), norm_l2(grid, R)
-    if info != 0 or not res <= 0.1 * r_norm:
-        raise SolverError(f"Newton MINRES solve failed (info={info}): "
-                          f"residual {res:.3e} vs {r_norm:.3e}")
+    shift = problem.a.field - problem.nl.dfdz(u)
+    y, iters = _minres(grid, op.c, shift - op.xi, -R, 1e-8,
+                       10 * grid.n * grid.n)
+    res = norm_l2(grid, op.apply_minus_hc(y) + shift * y + R)
+    r_norm = norm_l2(grid, R)
+    if not res <= 0.1 * r_norm:
+        raise SolverError(f"Newton MINRES solve failed after {iters} "
+                          f"iterations: residual {res:.3e} vs {r_norm:.3e}")
     denom = 1.0 - float(np.sum(Mgrad * y))
     if denom == 0.0 or not np.isfinite(denom):
         raise SolverError(f"deflation scalar 1 / {denom} is not finite")

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,8 +39,8 @@ def test_real_fft_layer_matches_complex_oracle(n):
 
     assert close(a2.laplacian_apply(g, u),
                  np.real(np.fft.ifft2(lap * np.fft.fft2(u))))
-    precond = a2.operator.fft_preconditioner(g, sigma)
-    assert close(precond.matvec(u.ravel()).reshape(n, n),
+    precond = a2.operator._shifted_laplacian_inverse(g, sigma)
+    assert close(precond(u),
                  np.real(np.fft.ifft2(np.fft.fft2(u) / (sigma - lap))))
     assert close(a2.convolve(g, u, w), g.cell_measure * np.real(
         np.fft.ifft2(np.fft.fft2(u) * np.fft.fft2(w))))
@@ -228,6 +231,13 @@ def test_resolvent_is_inverse(grid8, op8):
     assert np.max(np.abs(back - rhs)) <= 1e-8 * np.max(np.abs(rhs))
 
 
+def flat_operator(grid, apply):
+    """A field map u -> apply(u) as a scipy LinearOperator on flat fields."""
+    n = grid.n
+    return spla.LinearOperator((n * n, n * n), dtype=float,
+                               matvec=lambda v: apply(v.reshape(n, n)).ravel())
+
+
 def test_resolvent_matches_scipy_cg_with_half_the_ffts(monkeypatch):
     g = TorusGrid(64)
     op = AndersonOperator(g, a2.sample_white_noise(g, 5))
@@ -246,13 +256,68 @@ def test_resolvent_matches_scipy_cg_with_half_the_ffts(monkeypatch):
     assert fused > 0
     # the unfused preconditioned CG, as a test-only oracle
     calls.clear()
-    A = a2.operator.flat_operator(g, lambda u: op.apply_minus_hc(u, lam))
-    M = a2.operator.fft_preconditioner(g, op.c + float(np.mean(lam)))
+    A = flat_operator(g, lambda u: op.apply_minus_hc(u, lam))
+    M = flat_operator(g, a2.operator._shifted_laplacian_inverse(
+        g, op.c + float(np.mean(lam))))
     ref, info = spla.cg(A, rhs.ravel(), rtol=1e-12, atol=0.0, M=M,
                         maxiter=10 * 64 * 64)
     assert info == 0
     assert np.linalg.norm(sol.ravel() - ref) <= 1e-9 * np.linalg.norm(ref)
     assert fused <= len(calls) // 2 + 2
+
+
+def test_minres_solves_an_indefinite_split_with_one_fft_pair_a_step(
+        grid8, op8, monkeypatch):
+    # the Newton split J = (-Delta + c) + (a - f'(u) - xi) with a - f'(u)
+    # negative enough that J has negative eigenvalues
+    sigma = op8.c
+    d = -op8.xi - sigma - 4.0 + random_field(grid8, 40)
+    J = -dense_h_oracle(grid8, -(sigma + d))
+    assert np.linalg.eigvalsh(J)[0] < 0 < np.linalg.eigvalsh(J)[-1]
+    rhs = random_field(grid8, 41)
+    calls = []
+    rfft = np.fft.rfft  # the forward pass of every fourier_multiply
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    y, iters = a2.operator._minres(grid8, sigma, d, rhs, 1e-8, 640)
+    assert 0 < len(calls) <= iters + 1
+    expect = np.linalg.solve(J, rhs.ravel())
+    assert np.linalg.norm(y.ravel() - expect) <= 1e-8 * np.linalg.norm(expect)
+
+
+def test_minres_raises_at_its_cap_and_on_a_non_finite_rhs(grid8, op8):
+    d = -op8.xi - op8.c - 4.0 + random_field(grid8, 40)
+    rhs = random_field(grid8, 41)
+    with pytest.raises(a2.SolverError, match="MINRES reached its cap of 3"):
+        a2.operator._minres(grid8, op8.c, d, rhs, 1e-8, 3)
+    rhs[2, 3] = np.inf
+    with pytest.raises(a2.SolverError, match="MINRES right-hand side"):
+        a2.operator._minres(grid8, op8.c, d, rhs, 1e-8, 640)
+    y, iters = a2.operator._minres(grid8, op8.c, d, grid8.zeros(), 1e-8, 640)
+    assert iters == 0 and not y.any()
+
+
+def test_src_binds_no_scipy_name_but_dsygvd():
+    # read from the source, not sys.modules: whether scipy.linalg itself
+    # loads scipy.sparse differs between scipy releases
+    modules, names = set(), set()
+    for path in Path(a2.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "scipy":
+                        modules.add(alias.name)
+                        names.add(alias.asname or "scipy")
+            elif (isinstance(node, ast.ImportFrom) and not node.level
+                  and node.module.split(".")[0] == "scipy"):
+                modules.add(node.module)
+                names.update(alias.asname or alias.name for alias in node.names)
+    assert not [m for m in modules if m.startswith("scipy.sparse")]
+    assert names == {"dsygvd"}
 
 
 def test_heat_semigroup(grid16, op16_zero, op8, grid8):
