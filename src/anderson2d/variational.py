@@ -5,7 +5,8 @@ critical points are the weak solutions.  Besides a Picard fixed-point
 baseline (no convergence guarantee, diagnostic only), both saddle searches
 draw from one candidate order, `_candidates`: when no form mode is
 non-positive (m = -1), descent on the Nehari manifold from each eigenfield
-with a Newton polish; then deflated Newton, whose step is a scaled solve
+(gradient steps, then truncated-Newton steps on its tangent space) with a
+Newton polish; then deflated Newton, whose step is a scaled solve
 by the package's MINRES, seeded along eigenfield directions.  The
 mountain-pass search returns the first acceptable candidate, normally the
 local minimum of Phi on the Nehari manifold reached from e_0; its level
@@ -22,7 +23,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .grid import inner_l2, norm_l2
-from .operator import SolverError, _minres
+from .operator import SolverError, _minres, _shifted_laplacian_inverse
 from .potentials import Potential
 from .spectral import eigendecompose
 
@@ -413,44 +414,121 @@ def mountain_pass_geometry(problem, spectrum, r1=1.0, seed=0):
             "phi_endpoint": float(energy(problem, e_neg))}
 
 
+def _tangent_newton_direction(problem, u, r, eta):
+    """Truncated-Newton direction d of Phi at u on q^perp, q = (-H_c) u,
+    the fields E-orthogonal to the ray through u; returns (d, iterations).
+
+    Projected preconditioned CG (Gould, Hribar & Nocedal 2001) from d = 0
+    for Phi''(u) d = -r, with r the residual at u and Phi''(u) = -H_c + a -
+    f'(u), under the constraint preconditioner P = M - M q <q, M .> / <q,
+    M q>, M = (-Delta + c)^{-1}; P maps into q^perp, so every iterate lies
+    there.  On the split Phi''(u) = (-Delta + c) + (a - f'(u) - xi), a
+    preconditioned residual z = P rho has Phi'' z = rho - q <q, M rho> /
+    <q, M q> + (a - f'(u) - xi) z, so an iteration costs the one real-FFT
+    pair of M rho; q and M q cost two more.  Stops once <rho, P rho> <=
+    eta^2 <r, P r> (Eisenstat & Walker 1996).  On a direction p with <p,
+    Phi'' p> <= 0 it stops and keeps d, or takes P(-r) at the first
+    iteration (Steihaug 1983).  Raises SolverError after 10 n^2 iterations.
+    """
+    op, grid = problem.op, problem.grid
+    precondition = _shifted_laplacian_inverse(grid, op.c)
+    shift = problem.a.field - problem.nl.dfdz(u) - op.xi
+    q = op.apply_minus_hc(u)
+    mq = precondition(q)
+    qmq = np.vdot(q, mq)
+
+    def project(rho):
+        """(P rho, rho - gamma q), gamma = <q, M rho> / <q, M q>.  As P q =
+        0, dropping gamma q changes neither P rho nor <rho, P rho>, and it
+        keeps rounding from growing the residual along q."""
+        m_rho = precondition(rho)
+        gamma = np.vdot(q, m_rho) / qmq
+        return m_rho - gamma * mq, rho - gamma * q
+
+    d = grid.zeros()
+    p, rho = project(-r)
+    ap = rho + shift * p
+    rz = np.vdot(rho, p)
+    stop = eta * eta * rz
+    for it in range(10 * grid.n * grid.n):
+        if rz <= stop:
+            return d, it
+        curvature = np.vdot(p, ap)
+        if curvature <= 0:
+            return (p if it == 0 else d), it
+        alpha = rz / curvature
+        d = d + alpha * p
+        z, rho = project(rho - alpha * ap)
+        rz, rz_prev = np.vdot(rho, z), rz
+        beta = rz / rz_prev
+        p, ap = z + beta * p, rho + shift * z + beta * ap
+    raise SolverError(f"tangent Newton PCG reached its cap of "
+                      f"{10 * grid.n * grid.n} iterations")
+
+
 def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
     """Projected descent of Phi on the Nehari manifold {Phi'(u) u = 0}.
 
     With m = -1 each ray t v meets the manifold once, at t(v) =
-    `_initial_amplitude` (Szulkin & Weth 2010).  A step moves along the
-    E-gradient g, v = u - s g, and projects back, u <- t(v) v; s is the
-    Barzilai-Borwein quotient ||du||_E^2 / <du, dr>_{L^2}, halved until Phi
-    falls by the Armijo amount.  Stops at ||g||_E <= sqrt(tol), for Newton
-    to polish.  Returns (u, iterations), unconverged if the cap is hit or
-    a line search fails; appends (phi, ||g||_E, ||u||_E) to ``trace``.
+    `_initial_amplitude` (Szulkin & Weth 2009).  A step moves along a
+    direction d, v = u + s d, and projects back, u <- t(v) v, with s halved
+    (at most 30 times) until Phi falls by the Armijo amount 1e-4 s Phi'(u)
+    d.  While the E-gradient norm ||g||_E is above a tenth of its value at
+    the first iterate, d = -g and s starts at the Barzilai-Borwein quotient
+    ||du||_E^2 / <du, dr>_{L^2} of the last accepted step.  Below it, d is
+    `_tangent_newton_direction` with forcing eta = min(0.5, sqrt(||g||_E))
+    and s starts at 1; that PCG stops at a non-positive curvature and
+    raises SolverError at its cap of 10 n^2 iterations.  Switching earlier
+    moves the end point of some starts to another local minimum.
+
+    Stops at ||g||_E <= sqrt(tol), for Newton to polish.  Returns (u,
+    work), unconverged if ``max_iter`` steps are taken or a line search
+    fails; ``work`` counts the steps as ``nehari_gradient_steps`` and
+    ``nehari_newton_steps`` and the PCG iterations of the latter as
+    ``nehari_pcg_iterations``.  Appends (phi, ||g||_E, ||u||_E) to
+    ``trace`` at each iterate.
     """
     op, grid = problem.op, problem.grid
     u = _initial_amplitude(problem, v0) * v0
     phi = energy(problem, u)
     r, g = energy_gradient(problem, u)
     s = 1.0
-    for it in range(max_iter):
+    newton_below = 0.1 * grad_e_norm(problem, r, g)
+    work = dict.fromkeys(("nehari_gradient_steps", "nehari_newton_steps",
+                          "nehari_pcg_iterations"), 0)
+    for _ in range(max_iter):
         gn = grad_e_norm(problem, r, g)
         if trace is not None:
             trace.append((phi, gn, op.energy_norm(u)))
         if gn <= np.sqrt(tol):
-            return u, it
+            break
+        newton = gn <= newton_below
+        if newton:
+            d, inner = _tangent_newton_direction(problem, u, r,
+                                                 min(0.5, np.sqrt(gn)))
+            work["nehari_pcg_iterations"] += inner
+            step, decrease = 1.0, -1e-4 * inner_l2(grid, r, d)
+        else:
+            d, step, decrease = -g, s, 1e-4 * gn * gn
         for _ in range(30):
-            v = u - s * g
+            v = u + step * d
             cand = _initial_amplitude(problem, v) * v
             phi_cand = energy(problem, cand)
-            if phi_cand <= phi - 1e-4 * s * gn * gn:
+            if phi_cand <= phi - step * decrease:
                 break
-            s *= 0.5
+            step *= 0.5
         else:
-            return u, it
+            break
+        work["nehari_newton_steps" if newton else "nehari_gradient_steps"] += 1
+        if not newton:
+            s = step
         r_cand, g = energy_gradient(problem, cand)
         du = cand - u
         curvature = inner_l2(grid, du, r_cand - r)
         if curvature > 0:
             s = op.energy_norm(du)**2 / curvature
         u, phi, r = cand, phi_cand, r_cand
-    return u, max_iter
+    return u, work
 
 
 def _newton_from_direction(problem, spectrum, j, roots, tol, amp=1.0,
@@ -475,25 +553,29 @@ def _newton_from_direction(problem, spectrum, j, roots, tol, amp=1.0,
 def _candidates(problem, spectrum, tol, max_iter, rng, found, trace=None):
     """The candidate order of both saddle searches, drawn lazily.
 
-    Yields (u, iterations, start_direction, method) for each start whose
-    Newton run converges.  With m = -1, first `nehari_minimize` (at most
-    ``max_iter`` steps, appending to ``trace``) from each eigenfield in
-    turn with a Newton polish deflated against zero ("mountain-pass").
-    Then `_newton_from_direction` starts deflated against zero and +/-
-    each result in ``found``, which the caller may extend between draws
-    ("deflated-newton"): each eigenfield above the non-positive block at
-    amplitude 1, then at 2 and at 0.5 with a 5% perturbation, then 60
-    amplitudes drawn from ``rng`` in [0.3, 3] with a 10% perturbation.
+    Yields (u, iterations, start_direction, method, work) for each start
+    whose Newton run converges.  With m = -1, first `nehari_minimize` (at
+    most ``max_iter`` steps, appending to ``trace``) from each eigenfield in
+    turn with a Newton polish deflated against zero ("mountain-pass"), its
+    descent's ``work`` counts included; a start whose descent overflows or
+    raises SolverError is skipped, as is one whose polish fails.  Then
+    `_newton_from_direction` starts deflated against zero and +/- each
+    result in ``found``, which the caller may extend between draws
+    ("deflated-newton", with an empty ``work``): each eigenfield above the
+    non-positive block at amplitude 1, then at 2 and at 0.5 with a 5%
+    perturbation, then 60 amplitudes drawn from ``rng`` in [0.3, 3] with a
+    10% perturbation.
     """
     zero = [problem.grid.zeros()]
     if spectrum.m == -1:
         for j, e in enumerate(spectrum.eigenfields):
-            u0, its = nehari_minimize(problem, e, tol, max_iter, trace)
             try:
-                u, its2 = newton_solve(problem, u0, tol=tol, deflate=zero)
-            except SolverError:
+                u0, work = nehari_minimize(problem, e, tol, max_iter, trace)
+                u, its = newton_solve(problem, u0, tol=tol, deflate=zero)
+            except (OverflowError, SolverError):
                 continue
-            yield u, its + its2, j, "mountain-pass"
+            its += work["nehari_gradient_steps"] + work["nehari_newton_steps"]
+            yield u, its, j, "mountain-pass", work
     first = spectrum.m + 1
     directions = range(first, len(spectrum.eigenfields))
     starts = [(j, 1.0, 0.0) for j in directions]
@@ -507,7 +589,7 @@ def _candidates(problem, spectrum, tol, max_iter, rng, found, trace=None):
                                        zero + [r.u for r in found], tol, amp,
                                        pert, rng)
         if start is not None:
-            yield (*start, j, "deflated-newton")
+            yield (*start, j, "deflated-newton", {})
 
 
 def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
@@ -517,7 +599,8 @@ def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
     `eigendecompose` call, that passes the relative residual test and has
     ||u||_{L^2} >= 1e-3 and Phi > 0; ``max_iter`` caps each Nehari descent
     and ``seed`` seeds only the perturbations of the deflated-Newton
-    starts; ``info["m"]`` is the spectrum's index m.  With m = -1 this is
+    starts; ``info["m"]`` is the spectrum's index m, and a Nehari result's
+    info adds its descent's `nehari_minimize` work counts.  With m = -1 this is
     normally Nehari descent from e_0 and its Newton polish: a local minimum
     of Phi on the Nehari manifold.  Its level bounds the least positive
     level from above but is not the least in general: with zero noise on
@@ -529,10 +612,10 @@ def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
     spectrum = eigendecompose(problem.op, problem.a, count=8)
     trace = []
     rng = np.random.default_rng(seed)
-    for u, its, _, method in _candidates(problem, spectrum, tol, max_iter,
-                                         rng, [], trace):
+    for u, its, _, method, work in _candidates(problem, spectrum, tol,
+                                               max_iter, rng, [], trace):
         res = _result_from(problem, u, its, method, trace=trace, seed=seed,
-                           info={"m": spectrum.m})
+                           info={"m": spectrum.m, **work})
         size = norm_l2(problem.grid, u)
         if (res.residual_l2 <= tol * (1.0 + size) and size >= 1e-3
                 and res.phi > 0):
@@ -556,8 +639,10 @@ def fountain_solve(problem, n_solutions, tol=1e-6, max_iter=5000, seed=0):
     translations and reflections) that deflation against +/- u cannot
     separate.  Every returned result lists them in
     ``info["rejected_same_level"]`` as ``{"phi", "start_direction",
-    "matched_phi"}`` entries.  If fewer than ``n_solutions`` levels are
-    found, every result carries an ``info["warning"]``.
+    "matched_phi"}`` entries; one reached by Nehari descent also carries
+    that descent's `nehari_minimize` work counts.  If fewer than
+    ``n_solutions`` levels are found, every result carries an
+    ``info["warning"]``.
     """
     if not problem.nl.odd:
         raise ValueError("fountain search requires an odd nonlinearity")
@@ -570,7 +655,7 @@ def fountain_solve(problem, n_solutions, tol=1e-6, max_iter=5000, seed=0):
     candidates = _candidates(problem, spectrum, tol, max_iter,
                              np.random.default_rng(seed), found)
     while len(found) < n_solutions:
-        u, its, j, _ = next(candidates, (None,) * 4)
+        u, its, j, _, work = next(candidates, (None,) * 5)
         if u is None:
             break
         if not (norm_l2(grid, u) >= 1e-3 and all(
@@ -578,7 +663,7 @@ def fountain_solve(problem, n_solutions, tol=1e-6, max_iter=5000, seed=0):
                 for r in found)):
             continue
         res = _result_from(problem, u, its, "fountain", seed=seed,
-                           info={"start_direction": j})
+                           info={"start_direction": j, **work})
         if res.residual_l2 > tol * (1.0 + norm_l2(grid, u)):
             continue
         match = next((r for r in found

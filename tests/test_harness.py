@@ -282,10 +282,29 @@ def test_solve_mp_run(tmp_path):
     assert res["converged"]
     assert res["phi"] > 0
     assert res["m"] == -1  # the solver's info, and nothing else of it
+    work = ("nehari_gradient_steps", "nehari_newton_steps",
+            "nehari_pcg_iterations")
     assert set(res) == {"phi", "residual_l2", "grad_e_norm", "iterations",
-                        "method", "converged", "seed", "m"}
+                        "method", "converged", "seed", "m", *work}
+    # the accepted start is e_0: its descent wrote one trace row per iterate,
+    # and the polish's steps make up the rest of the iterations
+    rows = (tmp_path / "trace_0.csv").read_text().splitlines()[1:]
+    steps = res["nehari_gradient_steps"] + res["nehari_newton_steps"]
+    assert steps == len(rows) - 1
+    assert steps <= res["iterations"] <= steps + 100
     g, u = a2.load_field(str(tmp_path / "solution_0.f64"))
     assert a2.norm_l2(g, u) > 1e-3
+
+
+def test_solve_fountain_skips_a_nehari_start_that_overflows(tmp_path):
+    # the descent from e_3 diverges until energy() overflows; the sweep
+    # treats that start as failed and finds its levels elsewhere
+    assert cli.main(["solve-fountain", "--n", "48", "--seed", "7",
+                     "--potential", "builtin:spike:2", "--count", "3",
+                     "--tol", "1e-5", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["phi"] == pytest.approx(
+        [1.6707024251, 6.7990497858, 9.8408196901], rel=1e-9)
 
 
 def test_solve_choquard_run(tmp_path):

@@ -16,6 +16,7 @@ from anderson2d.variational import (
     _initial_amplitude,
     _negative_endpoint,
     _newton_step,
+    _tangent_newton_direction,
     nehari_minimize,
 )
 
@@ -227,7 +228,8 @@ def test_mountain_pass_solve_skips_the_geometry_witness(grid16, monkeypatch):
     monkeypatch.setattr(variational, "mountain_pass_geometry", witness)
     res = a2.mountain_pass_solve(zero_problem(grid16), tol=1e-8, seed=0)
     assert res.phi > 0
-    assert set(res.info) == {"m"}
+    assert set(res.info) == {"m", "nehari_gradient_steps",
+                             "nehari_newton_steps", "nehari_pcg_iterations"}
 
 
 def test_mountain_pass_zero_noise_recovers_ground_state(grid16):
@@ -284,6 +286,67 @@ def test_nehari_minimize_projection_and_stability():
             levels.append(a2.energy(prob, u))
         assert levels[0] > 0
         assert abs(levels[1] - levels[0]) <= 1e-9 * levels[0]
+
+
+def test_tangent_newton_direction_solves_the_bordered_system(
+        grid8, op8, monkeypatch):
+    # a Nehari point 10% off the local minimum reached from e_0, where
+    # Phi'' is positive on q^perp, q = (-H_c) u
+    prob = a2.AndersonProblem(op=op8, a=spike(grid8, 2.0), nl=a2.pow3())
+    spec = a2.eigendecompose(op8, prob.a, 4)
+    u0, _ = nehari_minimize(prob, spec.eigenfields[0], tol=1e-12)
+    w = random_field(grid8, 3)
+    v = u0 + 0.1 * a2.norm_l2(grid8, u0) * w / a2.norm_l2(grid8, w)
+    u = _initial_amplitude(prob, v) * v
+    r = a2.residual(prob, u)
+    calls = []
+    rfft = np.fft.rfft  # the forward pass of every fourier_multiply
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    d, inner = _tangent_newton_direction(prob, u, r, 1e-10)
+    monkeypatch.undo()
+    assert 0 < inner and len(calls) <= inner + 3
+    # the bordered system [Phi'' q; q^T 0] [d; mu] = [-r; 0], densely
+    q = op8.apply_minus_hc(u).ravel()
+    J = -dense_h_oracle(grid8, op8.xi - op8.c) + np.diag(
+        (prob.a.field - prob.nl.dfdz(u)).ravel())
+    K = np.block([[J, q[:, None]], [q[None, :], np.zeros((1, 1))]])
+    ref = np.linalg.solve(K, np.append(-r.ravel(), 0.0))[:-1]
+    assert np.linalg.norm(d.ravel() - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert abs(np.vdot(d.ravel(), q)) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(q)
+    assert a2.inner_l2(grid8, r, d) < 0
+
+
+def test_nehari_descent_keeps_criterion5_levels_from_every_eigenfield():
+    # switching to Newton directions from the first step moves e_2's end
+    # point from 4.854866 to 5.240480
+    prob = _criterion5_problem()
+    spec = a2.eigendecompose(prob.op, prob.a, 8)
+    levels = []
+    for e in spec.eigenfields:
+        u, _ = nehari_minimize(prob, e, tol=1e-5)
+        u, _ = a2.newton_solve(prob, u, tol=1e-5, deflate=[prob.grid.zeros()])
+        levels.append(a2.energy(prob, u))
+    assert levels == pytest.approx(
+        [5.485265599, 5.501024265, 4.854866141, 5.240479602, 6.058267218,
+         5.501024265, 5.501024265, 6.567807549], rel=1e-8)
+
+
+def test_mountain_pass_on_criterion5_reports_its_descent():
+    prob = _criterion5_problem()
+    res = a2.mountain_pass_solve(prob, tol=1e-5, seed=0)
+    assert res.phi == pytest.approx(5.485265599293474, rel=1e-12)
+    assert res.iterations <= 16
+    # the accepted start is e_0, whose descent alone wrote the trace
+    steps = (res.info["nehari_gradient_steps"]
+             + res.info["nehari_newton_steps"])
+    assert steps == len(res.trace) - 1 < res.iterations
+    assert res.info["nehari_newton_steps"] > 0
+    assert res.info["nehari_pcg_iterations"] >= res.info["nehari_newton_steps"]
 
 
 def test_zero_noise_bump_lies_below_constant(grid16):
