@@ -133,19 +133,23 @@ def geodesic_dist_field(grid, x0=(0, 0)):
     return np.sqrt(d1[:, None] ** 2 + d2[None, :] ** 2)
 
 
-def fourier_multiply(grid, u, symbol):
+def fourier_multiply(grid, u, symbol, out=None, scratch=None):
     """irfft2(rfft2(u) * symbol, s=(n, n)), ``symbol`` on the rfft2
     half-spectrum of shape (n, n//2 + 1): the package's one Fourier
     multiplier on fields, for a field or a (k, n, n) stack.
 
     It runs the one-axis passes of rfftn/irfftn in their order (rfft along
     the last axis, then fft along the first), so the bits are the same, but
-    the complex passes work in place and skip numpy's n-D wrapper."""
-    u_hat = np.fft.rfft(u, axis=-1)
+    the complex passes work in place and skip numpy's n-D wrapper.  The
+    result goes into ``out``, a real array of u's shape, and the
+    half-spectrum into ``scratch``, a complex array of shape
+    u.shape[:-1] + (n//2 + 1,), when they are given; otherwise both are
+    allocated.  Either way the bits are the same.  Returns the result."""
+    u_hat = np.fft.rfft(u, axis=-1, out=scratch)
     np.fft.fft(u_hat, axis=-2, out=u_hat)
     u_hat *= symbol
     np.fft.ifft(u_hat, axis=-2, out=u_hat)
-    return np.fft.irfft(u_hat, n=grid.n, axis=-1)
+    return np.fft.irfft(u_hat, n=grid.n, axis=-1, out=out)
 
 
 def convolve(grid, u, w):

@@ -241,16 +241,16 @@ def _resolve_specs(config, grid, op):
 def run(config):
     """Execute a pipeline and return its RunManifest.
 
-    When a stage raises once the output directory exists, config.json and
-    a manifest whose ``error`` holds the stage, the exception's type and
-    its message are written beside the artifacts so far, and the exception
-    propagates.
+    When a stage raises, config.json and a manifest whose ``error`` holds
+    the stage, the exception's type and its message are written beside the
+    artifacts so far, into an output directory made for them if the stage
+    came before it (the operator), and the exception propagates.  A
+    ConfigError, raised before any artifact, writes nothing.
     """
     config.validate()
     t0 = time.perf_counter()
     grid = tg.TorusGrid(config.n)
     outdir = Path(config.out)
-    outdir_made = False
     files = []
     timings = {}
     warnings = []
@@ -261,9 +261,9 @@ def run(config):
             out = fn()
         except Exception as exc:
             timings[name] = time.perf_counter() - t
-            if outdir_made:
-                finish({"stage": name, "type": type(exc).__name__,
-                        "message": str(exc)})
+            outdir.mkdir(parents=True, exist_ok=True)
+            finish({"stage": name, "type": type(exc).__name__,
+                    "message": str(exc)})
             raise
         timings[name] = time.perf_counter() - t
         return out
@@ -291,7 +291,6 @@ def run(config):
         op = clock("operator", lambda: AndersonOperator(grid, xi))
         inputs = _resolve_specs(config, grid, op)
     outdir.mkdir(parents=True, exist_ok=True)
-    outdir_made = True
     if cmd == "sample-noise":
         xi = clock("sample", lambda: sample_white_noise(grid, config.seed))
         if config.cutoff is not None:

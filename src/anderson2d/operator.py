@@ -17,6 +17,15 @@ Chebyshev expansion whose one recurrence T_k(X) u serves any number of
 times at once.  Each solve checks its true residual and raises SolverError
 when it misses.
 
+LOBPCG writes every row block of a step into a workspace that each solve
+allocates once, with out= in the order of the allocating expressions, so
+its steps allocate no field and keep their bits; the preconditioner's FFT
+pair writes through fourier_multiply's out= and scratch=, and its symbol is
+stored as complex, so the product needs no cast buffer.  The workspace
+lives in the call, so the operator stays immutable.  A block of one column
+is made B-orthonormal by 1 / sqrt of its Gram entry, with the bits of the
+inverse Cholesky factor.
+
 The three Krylov solvers cost one real-FFT pair per vector and iteration.
 Every operator they meet splits as (-Delta + sigma) + d with d a diagonal
 field: -H_c + lam in CG, Newton's Jacobian in MINRES, and -Delta + V (and
@@ -50,9 +59,12 @@ def laplacian_apply(grid, u):
 
 
 def _shifted_laplacian_inverse(grid, sigma):
-    """The field map u -> (-Delta + sigma)^{-1} u, sigma > 0, by real FFT."""
-    inv_sym = 1.0 / (sigma - grid.lap_multiplier_half)
-    return lambda u: fourier_multiply(grid, u, inv_sym)
+    """The field map u -> (-Delta + sigma)^{-1} u, sigma > 0, by real FFT;
+    keyword arguments (out=, scratch=) go to fourier_multiply.  The symbol
+    is stored as complex: the in-place product with the half-spectrum then
+    needs no cast buffer, and its bits are those of the cast."""
+    inv_sym = (1.0 / (sigma - grid.lap_multiplier_half)).astype(complex)
+    return lambda u, **kwargs: fourier_multiply(grid, u, inv_sym, **kwargs)
 
 
 def _minres(grid, sigma, d, rhs, rtol, maxiter):
@@ -138,25 +150,35 @@ def _b_of(block):
     return block[0] if block[2] is None else block[2]
 
 
-def _matmul(c, z):
-    """c @ z for a 2-D c.  A c of one column multiplies by broadcasting:
-    the products are the same, and numpy's matmul is slow on that shape."""
-    return c * z if c.shape[1] == 1 else c @ z
+def _rows(block, a):
+    """The first a rows of each of Y, A Y and B Y of a block."""
+    return tuple(None if z is None else z[:a] for z in block)
 
 
-def _times(c, block):
-    """The block C Y: C applied to each of Y, A Y and B Y."""
-    return tuple(None if z is None else _matmul(c, z) for z in block)
+def _matmul(c, z, out=None):
+    """c @ z for a 2-D c, written into ``out`` when it is given.  A c of one
+    column multiplies by broadcasting: the products are the same, and
+    numpy's matmul is slow on that shape."""
+    if c.shape[1] == 1:
+        return np.multiply(c, z, out=out)
+    return np.matmul(c, z, out=out)
 
 
-def _update(ufunc, block, other, c=None):
+def _times(c, block, out=(None, None, None)):
+    """The block C Y: C applied to each of Y, A Y and B Y, written into the
+    block ``out`` when it is given."""
+    return tuple(None if z is None else _matmul(c, z, o)
+                 for z, o in zip(block, out))
+
+
+def _update(ufunc, block, other, c=None, scratch=None):
     """Set each of Y, A Y and B Y of ``block`` in place to ufunc(it, C times
     its counterpart in ``other``), ufunc being np.add or np.subtract and a
-    C of None the identity; returns block."""
+    C of None the identity; the product C w is written into ``scratch``."""
     for z, w in zip(block, other):
         if z is not None:
-            ufunc(z, w if c is None else _matmul(c, w), out=z)
-    return block
+            ufunc(z, w if c is None else _matmul(c, w, scratch[:len(z)]),
+                  out=z)
 
 
 def _project_off(r, E):
@@ -164,14 +186,26 @@ def _project_off(r, E):
     return r if E is None else r - _matmul(r @ E[0].T, E[0])
 
 
-def _b_orthonormalize(block):
-    """The rows of block[0] made B-orthonormal by one triangular map, applied
-    to Y, A Y and B Y; None when Y B Y^T is not positive definite."""
+def _inv_cholesky(g):
+    """inv(cholesky(g)) for a Gram matrix g; None when Cholesky finds g not
+    positive definite.  A 1 x 1 g takes 1 / sqrt(g), which has the same
+    bits without LAPACK's per-call overhead, and fails where Cholesky does,
+    for g <= 0; a NaN g gives a NaN map, which the finite check of
+    _rayleigh_ritz rejects."""
+    if g.shape == (1, 1):
+        return None if g[0, 0] <= 0 else 1.0 / np.sqrt(g)
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(block[0] @ _b_of(block).T))
+        return np.linalg.inv(np.linalg.cholesky(g))
     except np.linalg.LinAlgError:
         return None
-    return _times(inv, block)
+
+
+def _b_orthonormalize(block, out):
+    """The rows of block[0] made B-orthonormal by one triangular map, applied
+    to Y, A Y and B Y and written into the block ``out``; None when
+    Y B Y^T is not positive definite."""
+    inv = _inv_cholesky(block[0] @ _b_of(block).T)
+    return None if inv is None else _times(inv, block, out)
 
 
 def _rayleigh_ritz(blocks, k):
@@ -209,32 +243,60 @@ def _rayleigh_ritz(blocks, k):
 def _lobpcg(X, precondition, E):
     """LOBPCG iterations from the block X = (X, A X, B X), constrained off
     the block E (None for no constraints); returns the rows of the last X.
-    See AndersonOperator.lowest_eigenpairs."""
-    k = len(X[0])
-    X = _b_orthonormalize(X)
+    ``precondition(r, out)`` writes (T R, A T R, B T R) into the block
+    ``out``.  See AndersonOperator.lowest_eigenpairs."""
+    k, size = X[0].shape
+
+    def block():
+        return tuple(None if z is None else np.empty((k, size)) for z in X)
+
+    # the workspace, allocated once: every row block of a step is written
+    # into one of four buffers, so a step allocates no field.  A step starts
+    # with X in x_buf and P in p_buf.  R and then W go into w_buf, the raw W
+    # into spare, and the B-orthonormal P ends in p_buf (by way of spare,
+    # which takes the active rows of P when a column is locked).  The next
+    # P goes into spare and the next X into w_buf; then X and W trade
+    # buffers, and so do P and the spare.
+    x_buf, p_buf, w_buf, spare = (block() for _ in range(4))
+    scratch = np.empty((k, size))
+    X = _b_orthonormalize(X, w_buf)
     if X is None:
         raise SolverError("LOBPCG start block is linearly dependent")
     vals, coeff = _rayleigh_ritz([X], k)
-    X = _times(coeff.T, X)
+    X = _times(coeff.T, X, x_buf)
     active = np.ones(k, dtype=bool)
     P = None
     for _ in range(MAX_ITERATIONS):
-        R = _project_off(X[1] - vals[:, None] * _b_of(X), E)
-        active &= np.linalg.norm(R, axis=1) > 1e-10
-        if not active.any():
-            break
-        # W is fresh: project it off the constraints and off X in place
-        W = precondition(R[active])
+        R = np.multiply(vals[:, None], _b_of(X), out=w_buf[0])
+        np.subtract(X[1], R, out=R)
         if E is not None:
-            _update(np.subtract, W, E, W[0] @ E[0].T)
-        _update(np.subtract, W, X, W[0] @ _b_of(X).T)
-        W = _b_orthonormalize(W)
+            R -= _matmul(R @ E[0].T, E[0], scratch)
+        # the row norms of R, with np.linalg.norm's bits
+        active &= np.sqrt(np.add.reduce(np.multiply(R, R, out=scratch),
+                                        axis=1)) > 1e-10
+        a = int(np.count_nonzero(active))
+        if not a:
+            break
+        if a < k:
+            R = np.compress(active, R, axis=0, out=scratch[:a])
+        # W is fresh: project it off the constraints and off X in place
+        W = precondition(R, _rows(spare, a))
+        if E is not None:
+            _update(np.subtract, W, E, W[0] @ E[0].T, scratch)
+        _update(np.subtract, W, X, W[0] @ _b_of(X).T, scratch)
+        W = _b_orthonormalize(W, _rows(w_buf, a))
         if W is None:
             break
         blocks = [X, W]
         if P is not None:
-            P = _b_orthonormalize(tuple(None if z is None else z[active]
-                                        for z in P))
+            if a < k:
+                P = tuple(None if z is None else
+                          np.compress(active, z, axis=0, out=o)
+                          for z, o in zip(P, _rows(spare, a)))
+                P = _b_orthonormalize(P, _rows(p_buf, a))
+            else:
+                P = _b_orthonormalize(P, spare)
+                p_buf, spare = spare, p_buf
             if P is not None:
                 blocks.append(P)
         ritz = _rayleigh_ritz(blocks, k)
@@ -247,11 +309,12 @@ def _lobpcg(X, precondition, E):
         # coefficient rows of X, W and P
         i = len(X[0])
         j = i + len(W[0])
-        P = _times(coeff[i:j].T, W)
+        P = _times(coeff[i:j].T, W, spare)
         if len(blocks) == 3:
-            _update(np.add, P, blocks[2], coeff[j:].T)
-        X = _update(np.add, _times(coeff[:i].T, X), P)
-        del blocks, W  # the old basis is dead; free it before the next step
+            _update(np.add, P, blocks[2], coeff[j:].T, scratch)
+        X = _times(coeff[:i].T, X, w_buf)
+        _update(np.add, X, P)
+        x_buf, w_buf, p_buf, spare = w_buf, x_buf, spare, p_buf
     return X[0]
 
 
@@ -328,15 +391,19 @@ class AndersonOperator:
         other FFT: (-Delta + sigma) T R = R gives A T R = R + (V - sigma) T R
         and B T R = R + (V_B - sigma) T R; the products AE and BE of the
         constraints are formed once, and AX, BX, AP and BP follow from the
-        Rayleigh-Ritz recurrences.  A column whose residual norm falls to
-        1e-10 is locked: it stays in the Rayleigh-Ritz basis but leaves the
-        search.  The previous directions P are dropped for a step when their
-        Gram matrix is not positive definite.  The search stops when every
-        column is locked or after MAX_ITERATIONS steps.  When n^2 - m < 5 k
-        there is no room for a block search, and the pencil is solved
-        densely on a basis of the whole complement instead.  A start must
-        not lie in an invariant subspace that misses the lowest pairs:
-        LOBPCG would stop there on a wrong pair whose residual is small.
+        Rayleigh-Ritz recurrences.  Every row block and FFT half-spectrum of
+        a step is written into a workspace allocated once per call; a block
+        of one column is made B-orthonormal by 1 / sqrt of its Gram entry,
+        which has the bits of the inverse Cholesky factor.  A column whose
+        residual norm falls to 1e-10 is locked: it stays in the Rayleigh-Ritz
+        basis but leaves the search.  The previous directions P are dropped
+        for a step when their Gram matrix is not positive definite.  The
+        search stops when every column is locked or after MAX_ITERATIONS
+        steps.  When n^2 - m < 5 k there is no room for a block search, and
+        the pencil is solved densely on a basis of the whole complement
+        instead.  A start must not lie in an invariant subspace that misses
+        the lowest pairs: LOBPCG would stop there on a wrong pair whose
+        residual is small.
 
         A last Rayleigh-Ritz step on freshly applied products gives the
         result (vals, fields, residuals): ascending eigenvalues, a (k, n, n)
@@ -375,11 +442,19 @@ class AndersonOperator:
             inverse = _shifted_laplacian_inverse(grid, sigma)
             shift_a = va - sigma
             shift_b = None if vb is None else vb - sigma
+            # the half-spectra of the preconditioner's FFT pairs
+            spectrum = np.empty((k, n, n // 2 + 1), dtype=complex)
 
-            def precondition(r):
-                """(W, A W, B W) for W = T R, by one fourier_multiply."""
-                w = inverse(r.reshape(-1, n, n)).reshape(r.shape)
-                return w, r + shift_a * w, None if vb is None else r + shift_b * w
+            def precondition(r, out):
+                """(W, A W, B W) for W = T R, by one fourier_multiply, written
+                into the block ``out``."""
+                w, aw, bw = out
+                inverse(r.reshape(-1, n, n), out=w.reshape(-1, n, n),
+                        scratch=spectrum[:len(r)])
+                np.add(r, np.multiply(shift_a, w, out=aw), out=aw)
+                if vb is not None:
+                    np.add(r, np.multiply(shift_b, w, out=bw), out=bw)
+                return out
 
             x = _lobpcg(apply(_project_off(x, E)), precondition, E)
 

@@ -175,8 +175,9 @@ def energy(problem, u):
     op, grid = problem.op, problem.grid
     u = grid.check_field(u)
     quad = 0.5 * op.energy_norm(u)**2
-    rest = grid.cell_measure * float(
-        np.sum(0.5 * problem.a.field * u * u - problem.nl.F(u)))
+    with np.errstate(over="ignore"):  # an overflow raises OverflowError below
+        rest = grid.cell_measure * float(
+            np.sum(0.5 * problem.a.field * u * u - problem.nl.F(u)))
     val = quad + rest
     if not np.isfinite(val):
         raise OverflowError("energy overflowed; field is too large")
@@ -345,8 +346,10 @@ def _initial_amplitude(problem, v):
     ts = np.geomspace(1e-2, 1e3, 60)
 
     def signs(chunk):
-        return np.sign(quad * chunk - grid.cell_measure * np.sum(
-            nl.f(chunk[:, None, None] * v) * v, axis=(1, 2)))
+        # a start this large overflows in energy too, and is skipped there
+        with np.errstate(over="ignore"):
+            return np.sign(quad * chunk - grid.cell_measure * np.sum(
+                nl.f(chunk[:, None, None] * v) * v, axis=(1, 2)))
 
     i = 23  # ts[23] < 1 < ts[24]
     s_lo, s_hi = signs(ts[i:i + 2])
@@ -550,18 +553,19 @@ def _newton_from_direction(problem, spectrum, j, roots, tol, amp=1.0,
         return None
 
 
-def _candidates(problem, spectrum, tol, max_iter, rng, found, trace=None):
+def _candidates(problem, spectrum, tol, max_iter, rng, found, trace=False):
     """The candidate order of both saddle searches, drawn lazily.
 
-    Yields (u, iterations, start_direction, method, work) for each start
-    whose Newton run converges.  With m = -1, first `nehari_minimize` (at
-    most ``max_iter`` steps, appending to ``trace``) from each eigenfield in
-    turn with a Newton polish deflated against zero ("mountain-pass"), its
-    descent's ``work`` counts included; a start whose descent overflows or
-    raises SolverError is skipped, as is one whose polish fails.  Then
-    `_newton_from_direction` starts deflated against zero and +/- each
-    result in ``found``, which the caller may extend between draws
-    ("deflated-newton", with an empty ``work``): each eigenfield above the
+    Yields (u, iterations, start_direction, method, work, trace) for each
+    start whose Newton run converges.  With m = -1, first `nehari_minimize`
+    (at most ``max_iter`` steps) from each eigenfield in turn with a Newton
+    polish deflated against zero ("mountain-pass"), its descent's ``work``
+    counts included and, when ``trace`` is true, its own trace rows; a
+    start whose descent overflows or raises SolverError is skipped, as is
+    one whose polish fails.  Then `_newton_from_direction` starts deflated
+    against zero and +/- each result in ``found``, which the caller may
+    extend between draws ("deflated-newton", with an empty ``work`` and
+    trace): each eigenfield above the
     non-positive block at amplitude 1, then at 2 and at 0.5 with a 5%
     perturbation, then 60 amplitudes drawn from ``rng`` in [0.3, 3] with a
     10% perturbation.
@@ -569,13 +573,14 @@ def _candidates(problem, spectrum, tol, max_iter, rng, found, trace=None):
     zero = [problem.grid.zeros()]
     if spectrum.m == -1:
         for j, e in enumerate(spectrum.eigenfields):
+            rows = [] if trace else None
             try:
-                u0, work = nehari_minimize(problem, e, tol, max_iter, trace)
+                u0, work = nehari_minimize(problem, e, tol, max_iter, rows)
                 u, its = newton_solve(problem, u0, tol=tol, deflate=zero)
             except (OverflowError, SolverError):
                 continue
             its += work["nehari_gradient_steps"] + work["nehari_newton_steps"]
-            yield u, its, j, "mountain-pass", work
+            yield u, its, j, "mountain-pass", work, rows or []
     first = spectrum.m + 1
     directions = range(first, len(spectrum.eigenfields))
     starts = [(j, 1.0, 0.0) for j in directions]
@@ -589,7 +594,7 @@ def _candidates(problem, spectrum, tol, max_iter, rng, found, trace=None):
                                        zero + [r.u for r in found], tol, amp,
                                        pert, rng)
         if start is not None:
-            yield (*start, j, "deflated-newton", {})
+            yield (*start, j, "deflated-newton", {}, [])
 
 
 def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
@@ -600,7 +605,9 @@ def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
     ||u||_{L^2} >= 1e-3 and Phi > 0; ``max_iter`` caps each Nehari descent
     and ``seed`` seeds only the perturbations of the deflated-Newton
     starts; ``info["m"]`` is the spectrum's index m, and a Nehari result's
-    info adds its descent's `nehari_minimize` work counts.  With m = -1 this is
+    info adds its descent's `nehari_minimize` work counts.  The trace of a
+    Nehari result holds the rows of its own descent only, and that of a
+    deflated-Newton result is empty.  With m = -1 this is
     normally Nehari descent from e_0 and its Newton polish: a local minimum
     of Phi on the Nehari manifold.  Its level bounds the least positive
     level from above but is not the least in general: with zero noise on
@@ -610,10 +617,9 @@ def mountain_pass_solve(problem, tol=1e-6, max_iter=5000, seed=0):
     deflated-Newton starts run.
     """
     spectrum = eigendecompose(problem.op, problem.a, count=8)
-    trace = []
     rng = np.random.default_rng(seed)
-    for u, its, _, method, work in _candidates(problem, spectrum, tol,
-                                               max_iter, rng, [], trace):
+    for u, its, _, method, work, trace in _candidates(
+            problem, spectrum, tol, max_iter, rng, [], trace=True):
         res = _result_from(problem, u, its, method, trace=trace, seed=seed,
                            info={"m": spectrum.m, **work})
         size = norm_l2(problem.grid, u)
@@ -655,7 +661,7 @@ def fountain_solve(problem, n_solutions, tol=1e-6, max_iter=5000, seed=0):
     candidates = _candidates(problem, spectrum, tol, max_iter,
                              np.random.default_rng(seed), found)
     while len(found) < n_solutions:
-        u, its, j, _, work = next(candidates, (None,) * 5)
+        u, its, j, _, work, _ = next(candidates, (None,) * 6)
         if u is None:
             break
         if not (norm_l2(grid, u) >= 1e-3 and all(

@@ -105,6 +105,20 @@ def test_fourier_multiply_is_rfft2_pair_bit_for_bit(n, shape, spectrum):
     assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("n", [32, 96])
+@pytest.mark.parametrize("shape", ["field", "stack"])
+def test_fourier_multiply_into_given_arrays_keeps_the_bits(n, shape):
+    g = TorusGrid(n)
+    rng = np.random.default_rng(n + 1)
+    u = rng.standard_normal((n, n) if shape == "field" else (4, n, n))
+    symbol = rng.standard_normal((n, n // 2 + 1))
+    out = np.empty_like(u)
+    scratch = np.empty(u.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    got = a2.fourier_multiply(g, u, symbol, out=out, scratch=scratch)
+    assert got is out
+    assert got.tobytes() == a2.fourier_multiply(g, u, symbol).tobytes()
+
+
 def _fft_call_sites(names):
     """{name: {"module.function"}} for each use of numpy.fft's ``names`` in
     the package source, as an attribute of the np.fft (or numpy.fft) module

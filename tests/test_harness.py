@@ -410,6 +410,32 @@ def test_failed_stage_leaves_its_artifacts(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "config.json").read_text())["n"] == 16
 
 
+def test_failed_operator_stage_leaves_a_manifest(tmp_path, monkeypatch,
+                                                  capsys):
+    # the operator is built before the output directory; its failure still
+    # makes the directory and writes config.json and the manifest, while a
+    # configuration error still exits 2 and writes nothing
+    bad = tmp_path / "bad"
+    assert cli.main(["spectrum", "--n", "16", "--potential", "builtin:nope",
+                     "--out", str(bad)]) == 2
+    assert not bad.exists()
+
+    def stalled(grid, xi):
+        raise a2.SolverError("lambda_max stalled")
+    monkeypatch.setattr(a2.harness, "AndersonOperator", stalled)
+    out = tmp_path / "run"
+    code = cli.main(["spectrum", "--n", "16", "--seed", "7", "--out",
+                     str(out)])
+    assert code == 3
+    assert "solver error: lambda_max stalled" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == {"stage": "operator", "type": "SolverError",
+                                 "message": "lambda_max stalled"}
+    assert set(manifest["timings"]) == {"operator"}
+    assert set(manifest["checksums"]) == {"config.json"}
+    assert json.loads((out / "config.json").read_text())["n"] == 16
+
+
 def test_solve_fountain_passes_max_iter(tmp_path, monkeypatch):
     seen = {}
 

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,73 @@ def test_one_column_products_are_matmul_bit_for_bit(rows):
     got = a2.operator._matmul(c, z)
     assert got.shape == (rows, 96 * 96)
     assert np.array_equal(got, c @ z)
+
+
+def test_one_column_orthonormalization_is_inv_cholesky_bit_for_bit():
+    # a 1 x 1 Gram entry takes 1 / sqrt(g) instead of inv(cholesky(g))
+    rng = np.random.default_rng(5)
+    for g in 10.0 ** rng.uniform(-300, 300, 2000):
+        gram = np.array([[g]])
+        got = a2.operator._inv_cholesky(gram)
+        expect = np.linalg.inv(np.linalg.cholesky(gram))
+        assert got.shape == (1, 1) and got.tobytes() == expect.tobytes()
+    # it fails where Cholesky does, for g <= 0
+    for g in (0.0, -0.0, -1.0, -np.inf):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.array([[g]]))
+        assert a2.operator._inv_cholesky(np.array([[g]])) is None
+    # a NaN gives a NaN map, which the finite check of _rayleigh_ritz rejects
+    assert np.isnan(a2.operator._inv_cholesky(np.array([[np.nan]]))).all()
+    gram = np.array([[4.0, 2.0], [2.0, 3.0]])
+    assert (a2.operator._inv_cholesky(gram).tobytes()
+            == np.linalg.inv(np.linalg.cholesky(gram)).tobytes())
+    assert a2.operator._inv_cholesky(-gram) is None
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_lobpcg_steps_allocate_no_field(monkeypatch, k):
+    # Every row block of a step is written into the solve's one workspace,
+    # so what a step allocates on top of the memory live when it starts
+    # stays below one field; the step cap changes neither that nor the
+    # number of field-sized np.empty calls.  tracemalloc sees numpy's data
+    # buffers.  At n = 96 a field (9216 doubles) is larger than numpy's
+    # ufunc buffer (np.getbufsize(), 8192 elements), which numpy's
+    # iterators may fill with a whole small operand.
+    g = TorusGrid(96)
+    field_bytes = g.n * g.n * 8
+    op = AndersonOperator(g, random_field(g, 7))
+    rayleigh_ritz, empty = a2.operator._rayleigh_ritz, np.empty
+    marks, sizes = [], []
+
+    def traced_rayleigh_ritz(blocks, k):
+        # a step runs from one Rayleigh-Ritz call to the next
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return rayleigh_ritz(blocks, k)
+
+    def counted_empty(shape, *args, **kwargs):
+        sizes.append(int(np.prod(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(a2.operator, "_rayleigh_ritz", traced_rayleigh_ritz)
+    monkeypatch.setattr(np, "empty", counted_empty)
+    counts = []
+    for cap in (3, 9):
+        monkeypatch.setattr(a2.operator, "MAX_ITERATIONS", cap)
+        marks.clear()
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(a2.SolverError, match="did not converge"):
+                op.lowest_eigenpairs(-op.xi, k)
+        finally:
+            tracemalloc.stop()
+        steps = [peak - current for (current, _), (_, peak)
+                 in zip(marks, marks[1:])]
+        assert len(steps) >= cap
+        assert max(steps) < field_bytes
+        counts.append(sum(size >= g.n * g.n for size in sizes))
+    assert counts[0] == counts[1] > 0
 
 
 def _gram_oracle(blocks, product):

@@ -412,9 +412,9 @@ def test_gap_delta_halves_the_operator_products(monkeypatch):
     fields = []
     multiply = a2.operator.fourier_multiply
 
-    def counted_multiply(grid, u, symbol):
+    def counted_multiply(grid, u, symbol, **kwargs):
         fields.append(u.size // grid.n ** 2)
-        return multiply(grid, u, symbol)
+        return multiply(grid, u, symbol, **kwargs)
 
     def stage_fields():
         total = sum(fields)

@@ -442,6 +442,19 @@ def test_mountain_pass_descends_from_e1_when_the_e0_polish_fails(
     res = a2.mountain_pass_solve(zero_problem(grid16), tol=1e-9, seed=0)
     assert res.method == "mountain-pass"
     assert abs(res.phi - 24.68404) <= 1e-5
+    # the trace holds e_1's descent only, not the rows of e_0's before it
+    steps = (res.info["nehari_gradient_steps"]
+             + res.info["nehari_newton_steps"])
+    assert len(res.trace) == steps + 1
+    assert res.trace[0][0] != pytest.approx(np.pi ** 2)
+
+
+def test_deflated_newton_result_has_an_empty_trace(grid8):
+    # m >= 0: only deflated-Newton starts run, and no descent is traced
+    prob = a2.AndersonProblem(op=a2.AndersonOperator(grid8, grid8.zeros()),
+                              a=constant(grid8, -2.0), nl=a2.pow3())
+    res = a2.mountain_pass_solve(prob, tol=1e-9, seed=0)
+    assert res.method == "deflated-newton" and res.trace == []
 
 
 def test_fountain_draws_candidates_lazily(grid16, monkeypatch):
