@@ -2,14 +2,18 @@
 
 Every command is a pure function of its RunConfig: identical config and
 seed produce byte-identical numeric artifacts.  The manifest records the
-config echo, RNG algorithm, timings, a sha256 checksum of every file
-written and, for a run that failed, the error.
+config echo, RNG algorithm, environment (the bits hold within one build),
+timings, a sha256 checksum of every file written and, for a run that
+failed, the error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -138,12 +142,23 @@ class RunConfig:
         return cls(**data)
 
 
+def _environment():
+    """Versions of Python, numpy, the scipy that .operator loaded and
+    numpy's BLAS, and OPENBLAS_NUM_THREADS (None when unset)."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": sys.modules["scipy"].__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 @dataclass
 class RunManifest:
     config: dict
     version: str
     rng_algorithm: str
     wall_clock_s: float
+    environment: dict = field(default_factory=_environment)
     timings: dict = field(default_factory=dict)
     checksums: dict = field(default_factory=dict)
     # partial results (e.g. fewer fountain levels than requested)

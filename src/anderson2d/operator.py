@@ -13,9 +13,10 @@ cached -(k1^2 + k2^2) and 1 / (sigma + k1^2 + k2^2).  Only the dense_h
 oracle uses the complex fft2/ifft2.  Eigenpairs come from the package's
 own block LOBPCG, shifted solves from preconditioned CG, Newton's
 indefinite ones from preconditioned MINRES, and the semigroup from a
-Chebyshev expansion whose one recurrence T_k(X) u serves any number of
-times at once.  Each solve checks its true residual and raises SolverError
-when it misses.
+Chebyshev expansion whose one recurrence T_k(X) u, at one fourier_multiply
+per term, sums any number of coefficient rows at once: one per time, or
+one per Kato horizon with its quadrature folded in.  Each solve checks its
+true residual and raises SolverError when it misses.
 
 LOBPCG writes every row block of a step into a workspace that each solve
 allocates once, with out= in the order of the allocating expressions, so
@@ -494,7 +495,8 @@ class AndersonOperator:
             raise ValueError(f"resolvent shift must be >= 0, got min {np.min(lam)}")
         grid = self.grid
         rhs = grid.check_field(rhs)
-        rhs_norm = norm_l2(grid, rhs)
+        with np.errstate(over="ignore"):  # SolverError below on overflow
+            rhs_norm = norm_l2(grid, rhs)
         if rhs_norm == 0.0:
             return grid.zeros()
         if not np.isfinite(rhs_norm):
@@ -535,6 +537,54 @@ class AndersonOperator:
 
     # -- heat semigroup -----------------------------------------------------
 
+    def _heat_interval(self):
+        """(hi, mid, half) of an interval [lo, hi] that holds spec(H - c)."""
+        lo = (float(self.grid.lap_multiplier_half.min() + self.xi.min())
+              - self.c)
+        hi = self.lambda_max_h - self.c
+        return hi, 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+    def _heat_rows(self, times):
+        """Coefficient rows of e^{t H_c} in T_k(X), one per time t:
+        e^{t hi} (c_0, 2 c_1, 2 c_2, ...), c_k = I_k(t half) e^{-t half}."""
+        hi, _, half = self._heat_interval()
+        rows = []
+        for t in times:
+            row = 2.0 * chebyshev_heat_coefficients(t * half)
+            row[0] *= 0.5
+            rows.append(np.exp(t * hi) * row)
+        return rows
+
+    def _chebyshev_sums(self, u, rows):
+        """[sum_k row[k] T_k(X) u for row in rows], X = (H - c - mid) / half,
+        for a field or a (k, n, n) stack u, from one recurrence run to the
+        longest row; a row's sum does not depend on the other rows.  A term
+        2 X T_k - T_{k-1} is one fourier_multiply with the symbol (2 / half)
+        -(k1^2 + k2^2), plus d T_k, d = (2 / half) (xi - c - mid), and minus
+        T_{k-1} in place, in three rotating buffers: no term allocates."""
+        grid = self.grid
+        _, mid, half = self._heat_interval()
+        scale = 2.0 / half
+        symbol = (scale * grid.lap_multiplier_half).astype(complex)
+        d = scale * (self.xi - (self.c + mid))
+        spectrum = np.empty(u.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        tmp = np.empty_like(u)
+        sums = [row[0] * u for row in rows]
+        # a copy: the rotation writes into every buffer that holds a term
+        prev, cur, nxt = np.empty_like(u), u.copy(), np.empty_like(u)
+        for k in range(1, max(len(row) for row in rows)):
+            fourier_multiply(grid, cur, symbol, out=nxt, scratch=spectrum)
+            nxt += np.multiply(d, cur, out=tmp)
+            if k == 1:
+                nxt *= 0.5  # T_1 = X u
+            else:
+                nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+            for total, row in zip(sums, rows):
+                if k < len(row):
+                    total += np.multiply(row[k], cur, out=tmp)
+        return sums
+
     def heat_apply(self, t, u):
         """e^{t H_c} u = e^{t (H - c)} u for t > 0 or a 1-D sequence of such t.
 
@@ -542,37 +592,19 @@ class AndersonOperator:
         [lo, hi] = [min symbol + min xi - c, lambda_max - c] that holds the
         spectrum of H - c: with X = (H - c - mid) / half mapping it to
         [-1, 1] and z = t half, e^{t(H - c)} = e^{t hi} sum_k' 2 I_k(z)
-        e^{-z} T_k(X).  Only the coefficients depend on t, so one recurrence
-        T_k(X) u, run to the longest series, serves every time; each time
-        sums its own terms in the order of a single-time call and stops at
-        its own length, so its result does not depend on the other times.
-        u is an (n, n) field or a (k, n, n) stack, whose fields run through
-        the recurrence together.  A number t gives an array of u's shape, a
-        sequence a stack of len(t) of them.
+        e^{-z} T_k(X).  Only the coefficients depend on t, so each time is
+        one coefficient row of _chebyshev_sums, whose one recurrence T_k(X) u
+        serves every time; a time's result does not depend on the other
+        times.  u is an (n, n) field or a (k, n, n) stack, whose fields run
+        through the recurrence together.  A number t gives an array of u's
+        shape, a sequence a stack of len(t) of them.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1 or times.size == 0 or not np.all(times > 0):
             raise ValueError(f"heat times must be positive, a number or a "
                              f"non-empty 1-D sequence, got {t!r}")
         u = _check_fields(self.grid, u)
-        lo = float(self.grid.lap_multiplier_half.min() + self.xi.min()) - self.c
-        hi = self.lambda_max_h - self.c
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        coeffs = [chebyshev_heat_coefficients(s * half) for s in times.flat]
-
-        def apply_x(v):
-            return (self.apply_h(v) - (self.c + mid) * v) / half
-
-        outs = [coeff[0] * u for coeff in coeffs]
-        prev, cur = None, u
-        for k in range(1, max(len(coeff) for coeff in coeffs)):
-            nxt = apply_x(cur) if k == 1 else 2.0 * apply_x(cur) - prev
-            prev, cur = cur, nxt
-            for out, coeff in zip(outs, coeffs):
-                if k < len(coeff):
-                    out += 2.0 * coeff[k] * cur
-        stack = np.stack([np.exp(s * hi) * out
-                          for s, out in zip(times.flat, outs)])
+        stack = np.stack(self._chebyshev_sums(u, self._heat_rows(times.flat)))
         return stack if times.ndim else stack[0]
 
     def green_function(self, x0):

@@ -71,9 +71,12 @@ def kato_modulus_heat(op, a, T):
     """sup_x int_0^T (e^{s H_c} |a|)(x) ds on a 16-node geometric time grid.
 
     T is one horizon or a 1-D sequence of them; a sequence gives a list of
-    moduli, each equal bit for bit to a call with that horizon alone.  One
-    heat_apply call evaluates the nodes of every horizon from one
-    Chebyshev recurrence.
+    moduli, each equal bit for bit to a call with that horizon alone.  The
+    quadrature is folded into the Chebyshev coefficients: a horizon's
+    integral is sum_i w_i e^{s_i H_c} |a|, with the trapezoid weights w_i
+    of its nodes s_i plus the leading [0, s_0] sliver, so it is one
+    coefficient row sum_i w_i (row of s_i), and one recurrence of
+    op._chebyshev_sums gives every horizon.
     """
     horizons = np.asarray(T, dtype=float)
     if (horizons.ndim > 1 or horizons.size == 0
@@ -81,14 +84,19 @@ def kato_modulus_heat(op, a, T):
         raise ValueError(f"horizons must lie in (0, 1], got {T!r}")
     grid = op.grid
     a = grid.check_field(_as_field(a))
-    s_nodes = [np.geomspace(h / 256.0, h, 16) for h in horizons.flat]
-    profiles = op.heat_apply(np.concatenate(s_nodes), np.abs(a))
-    moduli = []
-    for s, p in zip(s_nodes, np.split(profiles, len(s_nodes))):
-        integral = np.trapezoid(p, s, axis=0)
-        # leading [0, T/256] sliver: integrand is continuous at 0+ with value |a|
-        integral += s[0] * p[0]
-        moduli.append(float(integral.max()))
+    rows = []
+    for h in horizons.flat:
+        s = np.geomspace(h / 256.0, h, 16)
+        # the trapezoid rule's node weights, plus the leading [0, T/256]
+        # sliver: the integrand is continuous at 0+ with value |a|
+        weights = np.trapezoid(np.eye(len(s)), s)
+        weights[0] += s[0]
+        node_rows = op._heat_rows(s)
+        table = np.zeros((len(s), max(len(row) for row in node_rows)))
+        for i, row in enumerate(node_rows):
+            table[i, :len(row)] = row
+        rows.append(weights @ table)
+    moduli = [float(m.max()) for m in op._chebyshev_sums(np.abs(a), rows)]
     return moduli if horizons.ndim else moduli[0]
 
 

@@ -4,12 +4,14 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import anderson2d as a2
 from anderson2d.harness import ConfigError, RunConfig, _fmt, emit_plotdata, run
@@ -176,6 +178,17 @@ def test_sample_noise_run_is_deterministic(tmp_path):
     assert man["rng_algorithm"] == a2.RNG_ALGORITHM
     assert man["checksums"] == m1.checksums
 
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli.main(["sample-noise", "--n", "8", "--out", str(tmp_path)]) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert env == {"python": platform.python_version(),
+                   "numpy": np.__version__, "scipy": scipy.__version__,
+                   "blas": blas["name"], "blas_version": blas["version"],
+                   "openblas_num_threads": "1"}
 
 def test_sample_noise_cutoff(tmp_path):
     run(RunConfig(command="sample-noise", n=16, seed=5, cutoff=3,

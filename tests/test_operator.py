@@ -292,6 +292,13 @@ def test_resolvent_solve(grid16, op16_zero, grid8, op8):
         op8.resolvent_solve(lam, rhs)
 
 
+def test_resolvent_overflowing_rhs_norm_raises_solver_error(op16_zero):
+    # a finite rhs whose L^2 norm overflows: SolverError, and no
+    # RuntimeWarning (tier-1 turns one into an error)
+    with pytest.raises(a2.SolverError, match="norm inf"):
+        op16_zero.resolvent_solve(0.0, np.full((16, 16), 1e200))
+
+
 def test_resolvent_is_inverse(grid8, op8):
     rhs = random_field(grid8, 6)
     u = op8.resolvent_solve(2.5, rhs)
@@ -421,6 +428,37 @@ def test_heat_apply_many_times_is_bit_identical_to_one_at_a_time(grid8, op8):
         assert np.array_equal(stack[i], single)
     assert np.array_equal(op8.heat_apply(np.array([0.2]), v)[0],
                           op8.heat_apply(0.2, v))
+
+
+def count_fourier_multiply(monkeypatch):
+    """Log of the operator's fourier_multiply calls; apply_h fails the test."""
+    calls = []
+    multiply = a2.operator.fourier_multiply
+    monkeypatch.setattr(a2.operator, "fourier_multiply",
+                        lambda *args, **kwargs: calls.append(1)
+                        or multiply(*args, **kwargs))
+
+    def no_apply_h(self, u):
+        raise AssertionError("the heat recurrence called apply_h")
+
+    monkeypatch.setattr(AndersonOperator, "apply_h", no_apply_h)
+    return calls
+
+
+def heat_half(op):
+    """Half the width of the heat expansion's interval."""
+    lo = float(op.grid.lap_multiplier.min() + op.xi.min()) - op.c
+    return 0.5 * (op.lambda_max_h - op.c - lo)
+
+
+def test_heat_apply_runs_one_fft_pair_per_term(op8, grid8, monkeypatch):
+    # every time and field share one recurrence, run to the longest series
+    # at one fourier_multiply call per term, and no term calls apply_h
+    calls = count_fourier_multiply(monkeypatch)
+    stack = np.stack([random_field(grid8, s) for s in (1, 2)])
+    op8.heat_apply((1e-3, 0.5, 0.2), stack)
+    coeff = a2.operator.chebyshev_heat_coefficients(0.5 * heat_half(op8))
+    assert len(calls) == len(coeff) - 1
 
 
 def test_chebyshev_heat_coefficients():

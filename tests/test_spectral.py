@@ -10,7 +10,7 @@ from anderson2d import AndersonOperator, TorusGrid
 from anderson2d.potentials import Potential, constant, smooth_random, spike
 
 from conftest import random_field
-from test_operator import dense_h_oracle
+from test_operator import count_fourier_multiply, dense_h_oracle, heat_half
 
 PI = np.pi
 
@@ -57,36 +57,51 @@ def test_kato_modulus_heat_vanishes_with_T(op8, grid8):
 
 def test_kato_modulus_heat_runs_one_recurrence(op8, grid8, monkeypatch):
     # all 16 quadrature nodes share one Chebyshev recurrence, run to the
-    # series of the longest node T
-    calls = []
-    apply_h = AndersonOperator.apply_h
-    monkeypatch.setattr(AndersonOperator, "apply_h",
-                        lambda self, u: calls.append(1) or apply_h(self, u))
+    # series of the longest node T, at one FFT pair per term
     a = Potential(field=np.abs(random_field(grid8, 4)), declared_p=2.0)
-    lo = float(grid8.lap_multiplier.min() + op8.xi.min()) - op8.c
-    half = 0.5 * (op8.lambda_max_h - op8.c - lo)
+    calls = count_fourier_multiply(monkeypatch)
     for T in (1.0, 0.25):
         calls.clear()
         a2.kato_modulus_heat(op8, a, T)
-        coeff = a2.operator.chebyshev_heat_coefficients(T * half)
+        coeff = a2.operator.chebyshev_heat_coefficients(T * heat_half(op8))
         assert len(calls) == len(coeff) - 1
-
 
 
 def test_kato_modulus_heat_sweeps_horizons_in_one_call(op8, grid8, monkeypatch):
     # a sequence of horizons gives each horizon's modulus bit for bit, from
-    # one heat_apply call on the concatenated nodes
+    # one recurrence run to the series of the longest horizon
     a = Potential(field=np.abs(random_field(grid8, 4)), declared_p=2.0)
     single = [a2.kato_modulus_heat(op8, a, T) for T in (0.25, 0.125)]
-    calls = []
-    heat_apply = AndersonOperator.heat_apply
-    monkeypatch.setattr(AndersonOperator, "heat_apply",
-                        lambda self, t, u: calls.append(1)
-                        or heat_apply(self, t, u))
+    calls = count_fourier_multiply(monkeypatch)
     assert a2.kato_modulus_heat(op8, a, [0.25, 0.125]) == single
-    assert len(calls) == 1
+    coeff = a2.operator.chebyshev_heat_coefficients(0.25 * heat_half(op8))
+    assert len(calls) == len(coeff) - 1
     with pytest.raises(ValueError):
         a2.kato_modulus_heat(op8, a, [0.5, 1.5])
+
+
+def test_kato_modulus_heat_matches_dense_quadrature(op8, grid8):
+    # sum_i w_i e^{s_i H_c} |a| from eigh, with the trapezoid weights of the
+    # 16 geometric nodes and the leading [0, s_0] sliver, max over x
+    a = np.abs(random_field(grid8, 4))
+    vals, vecs = np.linalg.eigh(dense_h_oracle(grid8, op8.xi)
+                                - op8.c * np.eye(64))
+    coords = vecs.T @ a.ravel()
+
+    def oracle(T):
+        s = np.geomspace(T / 256.0, T, 16)
+        w = np.zeros(16)
+        w[:-1] += 0.5 * np.diff(s)
+        w[1:] += 0.5 * np.diff(s)
+        w[0] += s[0]
+        return np.max(vecs @ (np.exp(np.outer(vals, s)) @ w * coords))
+
+    for T in (1.0, 0.25):
+        got = a2.kato_modulus_heat(op8, a, T)
+        assert got == pytest.approx(oracle(T), rel=1e-12)
+    sweep = a2.kato_modulus_heat(op8, a, (1.0, 0.25))
+    assert sweep == pytest.approx([oracle(1.0), oracle(0.25)], rel=1e-12)
+
 
 def test_resolvent_sup_norm(grid16, op16_zero, op8, grid8):
     one = constant(grid16, 1.0)
