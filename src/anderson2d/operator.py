@@ -11,12 +11,12 @@ applied by FFT.  Both are grid.fourier_multiply, the package's one
 rfft2 -> symbol -> irfft2 routine, with a half-spectrum symbol: the grid's
 cached -(k1^2 + k2^2) and 1 / (sigma + k1^2 + k2^2).  Only the dense_h
 oracle uses the complex fft2/ifft2.  Eigenpairs come from the package's
-own block LOBPCG, shifted solves from preconditioned CG, Newton's
-indefinite ones from preconditioned MINRES, and the semigroup from a
-Chebyshev expansion whose one recurrence T_k(X) u, at one fourier_multiply
-per term, sums any number of coefficient rows at once: one per time, or
-one per Kato horizon with its quadrature folded in.  Each solve checks its
-true residual and raises SolverError when it misses.
+own block LOBPCG, shifted solves and the Nehari tangent step from one
+preconditioned CG, Newton's indefinite solves from preconditioned MINRES,
+and the semigroup from a Chebyshev expansion whose one recurrence T_k(X) u,
+at one fourier_multiply per term, sums any number of coefficient rows at
+once: one per time, or one per Kato horizon with its quadrature folded in.
+Each solve checks its true residual and raises SolverError when it misses.
 
 LOBPCG writes every row block of a step into a workspace that each solve
 allocates once, with out= in the order of the allocating expressions, so
@@ -27,13 +27,13 @@ lives in the call, so the operator stays immutable.  A block of one column
 is made B-orthonormal by 1 / sqrt of its Gram entry, with the bits of the
 inverse Cholesky factor.
 
-The three Krylov solvers cost one real-FFT pair per vector and iteration.
+The Krylov solvers cost one real-FFT pair per vector and iteration.
 Every operator they meet splits as (-Delta + sigma) + d with d a diagonal
-field: -H_c + lam in CG, Newton's Jacobian in MINRES, and -Delta + V (and
-the pencil's -Delta + V_B) in LOBPCG.  The product with a preconditioned
-residual z = (-Delta + sigma)^{-1} r is therefore r + d z (Eisenstat 1981),
-and only the preconditioner needs an FFT.  CG's other products follow from
-its two-term recurrence, LOBPCG's from its Rayleigh-Ritz recurrences.
+field: -H_c + lam and Phi''(u) in _pcg, Newton's Jacobian in _minres, and
+-Delta + V (and -Delta + V_B) in _lobpcg.  The product with a
+preconditioned residual z = (-Delta + sigma)^{-1} r is therefore r + d z
+(Eisenstat 1981), and only the preconditioner needs an FFT; the other
+products follow from the solvers' recurrences.
 """
 
 from __future__ import annotations
@@ -66,6 +66,59 @@ def _shifted_laplacian_inverse(grid, sigma):
     needs no cast buffer, and its bits are those of the cast."""
     inv_sym = (1.0 / (sigma - grid.lap_multiplier_half)).astype(complex)
     return lambda u, **kwargs: fourier_multiply(grid, u, inv_sym, **kwargs)
+
+
+def _pcg(grid, sigma, d, rhs, rtol, maxiter, q=None):
+    """Solve ((-Delta + sigma) + d) x = rhs by preconditioned CG from x = 0
+    with P = (-Delta + sigma)^{-1}; returns (x, iterations).
+
+    As A P r = r + d P r, an iteration costs the one real-FFT pair of P r;
+    it works in place in buffers allocated once.  Stops once ||r|| <= rtol
+    ||rhs||, tested before the preconditioner.  With q it solves on q^perp
+    (Gould, Hribar & Nocedal 2001): the constraint preconditioner P - P q
+    <q, P .> / <q, P q> costs one more FFT pair, for P q, and r loses the
+    same multiple of q, so rounding cannot grow it along q.  At <p, A p> <=
+    0 it returns x, or p at the first iteration (Steihaug 1983).  Raises
+    SolverError after maxiter iterations and on a non-finite residual.
+    """
+    precondition = _shifted_laplacian_inverse(grid, sigma)
+    spectrum = np.empty((grid.n, grid.n // 2 + 1), dtype=complex)
+    # ap = A p; from p = ap = 0 the first step sets p = z and ap = A z
+    x, p, ap, z = (grid.zeros() for _ in range(4))
+    tmp = np.empty_like(x)  # scratch for d z, gamma q, alpha p and alpha ap
+    if q is not None:
+        mq = precondition(q)
+        qmq = np.vdot(q, mq)
+    stop = rtol * float(np.linalg.norm(rhs))
+    r = rhs.copy()
+    rho_prev = 1.0
+    for it in range(maxiter + 1):
+        # sqrt(r . r) has the bits of np.linalg.norm(r), without its overhead
+        res = np.sqrt(np.vdot(r, r))
+        if res <= stop < np.inf:  # stop is inf or nan for a non-finite rhs
+            return x, it
+        if it == maxiter or not res < np.inf:
+            raise SolverError(f"PCG stopped after {it} of at most {maxiter} "
+                              f"iterations: residual {res:.3e} vs {stop:.3e}")
+        precondition(r, out=z, scratch=spectrum)
+        if q is not None:
+            gamma = np.vdot(q, z) / qmq
+            z -= np.multiply(gamma, mq, out=tmp)
+            r -= np.multiply(gamma, q, out=tmp)
+        rho = np.vdot(r, z)
+        beta = rho / rho_prev
+        p *= beta
+        p += z
+        ap *= beta
+        ap += r  # A z = P^{-1} z + d z = r + d z
+        ap += np.multiply(d, z, out=tmp)
+        curvature = np.vdot(p, ap)
+        if curvature <= 0:
+            return (p if it == 0 else x), it
+        alpha = rho / curvature
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, ap, out=tmp)
+        rho_prev = rho
 
 
 def _minres(grid, sigma, d, rhs, rtol, maxiter):
@@ -481,15 +534,11 @@ class AndersonOperator:
     def resolvent_solve(self, lam, rhs, rtol=1e-10):
         """Solve (-H_c + lam) u = rhs for a shift lam >= 0, a number or a field.
 
-        Preconditioned CG from a zero start with P = (-Delta + sigma)^{-1},
-        sigma = c + mean(lam), stopped when ||r_k|| <= rtol ||rhs|| or after
-        10 n^2 iterations.  With the split -H_c + lam = P^{-1} + d, where
-        d = c + lam - sigma - xi, the product A p_k for the new search
-        direction p_k = z + beta p_{k-1} is r + d z + beta A p_{k-1},
-        because P^{-1} z = r; so each iteration costs one real-FFT pair (the
-        preconditioner) instead of two.  The returned u satisfies
-        ||(-H_c+lam)u - rhs|| <= 1e-9 ||rhs||; otherwise, and for a
-        right-hand side whose norm is not finite, SolverError is raised.
+        `_pcg` on the split (-Delta + sigma) + (c + lam - sigma - xi),
+        sigma = c + mean(lam), to ||r_k|| <= rtol ||rhs|| within 10 n^2
+        iterations.  The returned u satisfies ||(-H_c+lam)u - rhs|| <= 1e-9
+        ||rhs||; otherwise, and for a right-hand side whose norm is not
+        finite, SolverError is raised.
         """
         if np.min(lam) < 0:
             raise ValueError(f"resolvent shift must be >= 0, got min {np.min(lam)}")
@@ -502,31 +551,8 @@ class AndersonOperator:
         if not np.isfinite(rhs_norm):
             raise SolverError(f"resolvent right-hand side has norm {rhs_norm}")
         sigma = self.c + float(np.mean(lam))
-        precondition = _shifted_laplacian_inverse(grid, sigma)
-        d = (self.c - sigma) + lam - self.xi
-        stop = rtol * float(np.linalg.norm(rhs))
-        # q = A p; from p = q = 0 the first step sets p = z and q = A z
-        u, p, q = grid.zeros(), grid.zeros(), grid.zeros()
-        tmp = np.empty_like(u)  # scratch for d z, alpha p and alpha q
-        r = rhs.copy()
-        rho_prev = 1.0
-        iters = 0
-        # sqrt(r . r) has the bits of np.linalg.norm(r), without its overhead
-        while (iters < 10 * grid.n * grid.n
-               and np.sqrt(np.vdot(r, r)) > stop):
-            z = precondition(r)
-            rho = np.vdot(r, z)
-            beta = rho / rho_prev
-            p *= beta
-            p += z
-            q *= beta
-            q += r  # A z = P^{-1} z + d z = r + d z
-            q += np.multiply(d, z, out=tmp)
-            alpha = rho / np.vdot(p, q)
-            u += np.multiply(alpha, p, out=tmp)
-            r -= np.multiply(alpha, q, out=tmp)
-            rho_prev = rho
-            iters += 1
+        u, iters = _pcg(grid, sigma, (self.c - sigma) + lam - self.xi, rhs,
+                        rtol, 10 * grid.n * grid.n)
         res = norm_l2(grid, self.apply_minus_hc(u, lam) - rhs)
         if not res <= 1e-9 * rhs_norm:
             raise SolverError(

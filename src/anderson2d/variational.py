@@ -23,7 +23,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .grid import inner_l2, norm_l2
-from .operator import SolverError, _minres, _shifted_laplacian_inverse
+from .operator import SolverError, _minres, _pcg
 from .potentials import Potential
 from .spectral import eigendecompose
 
@@ -417,58 +417,6 @@ def mountain_pass_geometry(problem, spectrum, r1=1.0, seed=0):
             "phi_endpoint": float(energy(problem, e_neg))}
 
 
-def _tangent_newton_direction(problem, u, r, eta):
-    """Truncated-Newton direction d of Phi at u on q^perp, q = (-H_c) u,
-    the fields E-orthogonal to the ray through u; returns (d, iterations).
-
-    Projected preconditioned CG (Gould, Hribar & Nocedal 2001) from d = 0
-    for Phi''(u) d = -r, with r the residual at u and Phi''(u) = -H_c + a -
-    f'(u), under the constraint preconditioner P = M - M q <q, M .> / <q,
-    M q>, M = (-Delta + c)^{-1}; P maps into q^perp, so every iterate lies
-    there.  On the split Phi''(u) = (-Delta + c) + (a - f'(u) - xi), a
-    preconditioned residual z = P rho has Phi'' z = rho - q <q, M rho> /
-    <q, M q> + (a - f'(u) - xi) z, so an iteration costs the one real-FFT
-    pair of M rho; q and M q cost two more.  Stops once <rho, P rho> <=
-    eta^2 <r, P r> (Eisenstat & Walker 1996).  On a direction p with <p,
-    Phi'' p> <= 0 it stops and keeps d, or takes P(-r) at the first
-    iteration (Steihaug 1983).  Raises SolverError after 10 n^2 iterations.
-    """
-    op, grid = problem.op, problem.grid
-    precondition = _shifted_laplacian_inverse(grid, op.c)
-    shift = problem.a.field - problem.nl.dfdz(u) - op.xi
-    q = op.apply_minus_hc(u)
-    mq = precondition(q)
-    qmq = np.vdot(q, mq)
-
-    def project(rho):
-        """(P rho, rho - gamma q), gamma = <q, M rho> / <q, M q>.  As P q =
-        0, dropping gamma q changes neither P rho nor <rho, P rho>, and it
-        keeps rounding from growing the residual along q."""
-        m_rho = precondition(rho)
-        gamma = np.vdot(q, m_rho) / qmq
-        return m_rho - gamma * mq, rho - gamma * q
-
-    d = grid.zeros()
-    p, rho = project(-r)
-    ap = rho + shift * p
-    rz = np.vdot(rho, p)
-    stop = eta * eta * rz
-    for it in range(10 * grid.n * grid.n):
-        if rz <= stop:
-            return d, it
-        curvature = np.vdot(p, ap)
-        if curvature <= 0:
-            return (p if it == 0 else d), it
-        alpha = rz / curvature
-        d = d + alpha * p
-        z, rho = project(rho - alpha * ap)
-        rz, rz_prev = np.vdot(rho, z), rz
-        beta = rz / rz_prev
-        p, ap = z + beta * p, rho + shift * z + beta * ap
-    raise SolverError(f"tangent Newton PCG reached its cap of "
-                      f"{10 * grid.n * grid.n} iterations")
-
-
 def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
     """Projected descent of Phi on the Nehari manifold {Phi'(u) u = 0}.
 
@@ -478,11 +426,15 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
     (at most 30 times) until Phi falls by the Armijo amount 1e-4 s Phi'(u)
     d.  While the E-gradient norm ||g||_E is above a tenth of its value at
     the first iterate, d = -g and s starts at the Barzilai-Borwein quotient
-    ||du||_E^2 / <du, dr>_{L^2} of the last accepted step.  Below it, d is
-    `_tangent_newton_direction` with forcing eta = min(0.5, sqrt(||g||_E))
-    and s starts at 1; that PCG stops at a non-positive curvature and
-    raises SolverError at its cap of 10 n^2 iterations.  Switching earlier
-    moves the end point of some starts to another local minimum.
+    ||du||_E^2 / <du, dr>_{L^2} of the last accepted step.  Below it, s
+    starts at 1 and d is the truncated-Newton direction of `_pcg` for
+    Phi''(u) d = -r on q^perp, q = (-H_c) u (the fields E-orthogonal to the
+    ray through u), with Phi''(u) = (-Delta + c) + (a - f'(u) - xi).  That
+    CG stops once its residual's 2-norm falls to eta ||r||, eta = min(0.5,
+    sqrt(||g||_E)) (Eisenstat & Walker 1996), or at a non-positive
+    curvature, and raises SolverError at its cap of 10 n^2 iterations.
+    Switching earlier moves the end point of some starts to another local
+    minimum.
 
     Stops at ||g||_E <= sqrt(tol), for Newton to polish.  Returns (u,
     work), unconverged if ``max_iter`` steps are taken or a line search
@@ -507,8 +459,10 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
             break
         newton = gn <= newton_below
         if newton:
-            d, inner = _tangent_newton_direction(problem, u, r,
-                                                 min(0.5, np.sqrt(gn)))
+            d, inner = _pcg(grid, op.c,
+                            problem.a.field - problem.nl.dfdz(u) - op.xi, -r,
+                            min(0.5, np.sqrt(gn)), 10 * grid.n * grid.n,
+                            q=op.apply_minus_hc(u))
             work["nehari_pcg_iterations"] += inner
             step, decrease = 1.0, -1e-4 * inner_l2(grid, r, d)
         else:

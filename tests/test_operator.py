@@ -365,15 +365,45 @@ def test_minres_solves_an_indefinite_split_with_one_fft_pair_a_step(
 
 
 def test_minres_raises_at_its_cap_and_on_a_non_finite_rhs(grid8, op8):
-    d = -op8.xi - op8.c - 4.0 + random_field(grid8, 40)
-    rhs = random_field(grid8, 41)
-    with pytest.raises(a2.SolverError, match="MINRES reached its cap of 3"):
-        a2.operator._minres(grid8, op8.c, d, rhs, 1e-8, 3)
-    rhs[2, 3] = np.inf
-    with pytest.raises(a2.SolverError, match="MINRES right-hand side"):
-        a2.operator._minres(grid8, op8.c, d, rhs, 1e-8, 640)
-    y, iters = a2.operator._minres(grid8, op8.c, d, grid8.zeros(), 1e-8, 640)
-    assert iters == 0 and not y.any()
+    # _pcg, the CG of the resolvent and the Nehari tangent step, too: on a
+    # positive definite split, where it meets no negative curvature
+    indefinite = -op8.xi - op8.c - 4.0 + random_field(grid8, 40)
+    positive = random_field(grid8, 40)**2
+    for solve, d, cap, bad in (
+            (a2.operator._minres, indefinite, "MINRES reached its cap of 3",
+             "MINRES right-hand side"),
+            (a2.operator._pcg, positive, "PCG stopped after 3 of at most 3",
+             "PCG stopped after 0 of at most 640 iterations: residual inf")):
+        rhs = random_field(grid8, 41)
+        with pytest.raises(a2.SolverError, match=cap):
+            solve(grid8, op8.c, d, rhs, 1e-8, 3)
+        rhs[2, 3] = np.inf
+        with pytest.raises(a2.SolverError, match=bad):
+            solve(grid8, op8.c, d, rhs, 1e-8, 640)
+        y, iters = solve(grid8, op8.c, d, grid8.zeros(), 1e-8, 640)
+        assert iters == 0 and not y.any()
+
+
+def test_pcg_returns_its_first_direction_on_negative_curvature(grid8):
+    # A = -Delta - 10 and a constant rhs: the first direction P rhs is a
+    # constant field, along which <p, A p> < 0
+    sigma = 3.0
+    rhs = np.ones((8, 8))
+    y, iters = a2.operator._pcg(grid8, sigma, np.full((8, 8), -sigma - 10.0),
+                                rhs, 1e-8, 640)
+    assert iters == 0
+    assert np.allclose(y, rhs / sigma, rtol=1e-14, atol=0.0)
+
+
+def test_resolvent_stops_on_the_residual_2_norm():
+    # a stop on the P-norm of the residual, as MINRES has, ends this solve
+    # at a true residual of 1.1e-9 relative, past the 1e-9 acceptance
+    g = TorusGrid(96)
+    op = AndersonOperator(g, a2.sample_white_noise(g, 1))
+    rhs = np.abs(a2.potentials.spike(g, 2.0).field)
+    u = op.resolvent_solve(0.0, rhs, rtol=1e-10)
+    res = a2.norm_l2(g, op.apply_minus_hc(u) - rhs)
+    assert res <= 1e-9 * a2.norm_l2(g, rhs)
 
 
 def test_src_binds_no_scipy_name_but_dsygvd():
@@ -393,6 +423,21 @@ def test_src_binds_no_scipy_name_but_dsygvd():
                 names.update(alias.asname or alias.name for alias in node.names)
     assert not [m for m in modules if m.startswith("scipy.sparse")]
     assert names == {"dsygvd"}
+
+
+def test_only_operator_names_the_krylov_preconditioner():
+    # the Krylov layer stays in one module: every other module solves
+    # through _pcg or _minres, not with its own preconditioned loop
+    binders = set()
+    for path in Path(a2.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            bound = (node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                     else node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else None)
+            if bound == "_shifted_laplacian_inverse":
+                binders.add(path.name)
+    assert binders == {"operator.py"}
 
 
 def test_heat_semigroup(grid16, op16_zero, op8, grid8):
