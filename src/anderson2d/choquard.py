@@ -16,8 +16,11 @@ is the expected outcome, not a failure.
 The descent direction is an inexact Newton step for F(u) = A u + Lambda u
 = 0: GMRES on (I + A^{-1} DLambda(u)) d = -A^{-1} F(u) with the forcing
 term min(0.5, sqrt(I)) (Eisenstat & Walker, SIAM J. Sci. Comput. 17:16,
-1996); the self-dual functional is Ghoussoub's (Self-dual Partial
-Differential Systems and Their Variational Principles, Springer, 2009).
+1996), solving its small Hessenberg problem by least squares (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7:856, 1986). DLambda(u) comes with
+the gradient data of u, so each point is evaluated once. The self-dual
+functional is Ghoussoub's (Self-dual Partial Differential Systems and
+Their Variational Principles, Springer, 2009).
 """
 
 from __future__ import annotations
@@ -168,8 +171,10 @@ def _power_derivatives(prob, u):
 def _selfdual_gradient(prob, u):
     """Gradient data of I(u) = 1/2 ||A u + Lambda u||^2_{A^{-1}}.
 
-    Returns (I, r, z, grad) with z = A^{-1} r and grad = r + DLambda^T z,
-    the L^2 gradient.
+    Returns (I, r, z, grad, dlam) with z = A^{-1} r, grad = r + DLambda^T z
+    the L^2 gradient, and dlam the map d -> DLambda(u) d =
+    -g(u) (w * (f'(u) d)) - (w * f(u)) g'(u) d (one convolution each),
+    built from the w * f(u), g, f' and g' that the gradient uses.
     """
     grid = prob.grid
     u = grid.check_field(u)
@@ -179,50 +184,39 @@ def _selfdual_gradient(prob, u):
     z = prob.solve_a(r) if np.any(r) else np.zeros_like(u)
     I = 0.5 * inner_l2(grid, r, z)
     fp, gp = _power_derivatives(prob, u)
+    local = conv_f * gp
     # w~(x) = w(-x) has half-spectrum conj(w_hat) since w is real
     term1 = -fp * convolve_spectrum(grid, g * z, np.conj(prob.w_hat))
-    term2 = -conv_f * gp * z
-    grad = r + term1 + term2
-    return I, r, z, grad
+    grad = r + term1 - local * z
 
-
-def _dlambda(prob, u):
-    """DLambda(u) as the map d -> -g(u) (w * (f'(u) d)) - (w * f(u)) g'(u) d,
-    with f' = g' = 0 where u = 0; each application is one convolution."""
-    grid = prob.grid
-    u = grid.check_field(u)
-    g = prob._g(u)
-    fp, gp = _power_derivatives(prob, u)
-    local = convolve_spectrum(grid, prob._f(u), prob.w_hat) * gp
-
-    def apply(d):
+    def dlam(d):
         return -g * convolve_spectrum(grid, fp * d, prob.w_hat) - local * d
-    return apply
+    return I, r, z, grad, dlam
 
 
-def _newton_direction(prob, u, z, eta):
+def _newton_direction(prob, dlam, z, eta):
     """Inexact Newton direction d for F(u) = A u + Lambda u = 0.
 
-    Solves (I + A^{-1} DLambda(u)) d = -z, where z = A^{-1} F(u), by GMRES
-    from d = 0: Arnoldi with modified Gram-Schmidt and Givens rotations on
-    the Hessenberg matrix. Each iteration costs one `solve_a` and one
-    DLambda(u) product. Once the rotated estimate meets ||residual|| <=
+    Solves (I + A^{-1} DLambda(u)) d = -z, where z = A^{-1} F(u) and dlam
+    applies DLambda(u), by GMRES from d = 0: Arnoldi with modified
+    Gram-Schmidt, and each iteration's (j+2) x (j+1) Hessenberg problem
+    min ||beta e_1 - H y|| solved by least squares. Each iteration costs
+    one `solve_a` and one DLambda(u) product. Once that residual meets
     eta ||z||, the residual is recomputed in field space from the stored
     products A^{-1} DLambda v_j (no further solve); GMRES stops when that
     meets the bound and raises SolverError when it still misses it after
-    GMRES_MAX_ITERATIONS iterations. Returns (d, iterations).
+    GMRES_MAX_ITERATIONS iterations, or on a non-finite Arnoldi vector.
+    Returns (d, iterations).
     """
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
         return np.zeros_like(z), 0
-    dlam = _dlambda(prob, u)
     bound = eta * beta
     m = GMRES_MAX_ITERATIONS
     basis, products = [-z / beta], []
     hess = np.zeros((m + 1, m))
-    cs, sn = np.zeros(m), np.zeros(m)
-    g = np.zeros(m + 1)  # the rotated right-hand side beta e_1
-    g[0] = beta
+    rhs = np.zeros(m + 1)  # beta e_1
+    rhs[0] = beta
     for j in range(m):
         products.append(prob.solve_a(dlam(basis[j])))
         w = basis[j] + products[j]
@@ -230,23 +224,14 @@ def _newton_direction(prob, u, z, eta):
             hess[i, j] = np.vdot(w, basis[i])
             w -= hess[i, j] * basis[i]
         w_norm = float(np.linalg.norm(w))
-        hess[j + 1, j] = w_norm
-        for i in range(j):
-            hess[i, j], hess[i + 1, j] = (
-                cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
-                -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j])
-        rho = float(np.hypot(hess[j, j], w_norm))
-        if not rho > 0:
-            raise SolverError(f"Newton GMRES: singular Hessenberg matrix "
+        if not np.isfinite(w_norm):
+            raise SolverError(f"Newton GMRES: non-finite Arnoldi vector "
                               f"at iteration {j + 1}")
-        cs[j], sn[j] = hess[j, j] / rho, w_norm / rho
-        hess[j, j], hess[j + 1, j] = rho, 0.0
-        g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+        hess[j + 1, j] = w_norm
+        h = hess[:j + 2, :j + 1]
+        y = np.linalg.lstsq(h, rhs[:j + 2])[0]
         last = w_norm == 0.0 or j + 1 == m
-        if abs(g[j + 1]) <= bound or last:
-            y = np.zeros(j + 1)
-            for i in range(j, -1, -1):
-                y[i] = (g[i] - hess[i, i + 1:j + 1] @ y[i + 1:]) / hess[i, i]
+        if np.linalg.norm(rhs[:j + 2] - h @ y) <= bound or last:
             d = sum(c * v for c, v in zip(y, basis))
             res = -z - d - sum(c * p for c, p in zip(y, products))
             res_norm = float(np.linalg.norm(res))
@@ -288,7 +273,7 @@ def selfdual_minimize(prob, init=None, tol=1e-6, max_iter=5000):
     """
     grid = prob.grid
     u = grid.zeros() if init is None else grid.check_field(init).copy()
-    I, r, z, grad = _selfdual_gradient(prob, u)
+    I, r, z, grad, dlam = _selfdual_gradient(prob, u)
     trace = []
     steps = trials = gmres_iterations = 0
     s_next = 1.0
@@ -299,7 +284,7 @@ def selfdual_minimize(prob, init=None, tol=1e-6, max_iter=5000):
                          and res <= tol * (1.0 + norm_l2(grid, u)))
         if converged or steps >= max_iter:
             break
-        direction, its = _newton_direction(prob, u, z,
+        direction, its = _newton_direction(prob, dlam, z,
                                            min(0.5, np.sqrt(max(I, 0.0))))
         gmres_iterations += its
         slope = inner_l2(grid, grad, direction)
@@ -315,7 +300,7 @@ def selfdual_minimize(prob, init=None, tol=1e-6, max_iter=5000):
             if cand_data[0] <= I + 1e-4 * s * slope:
                 # the accepted candidate's data serve the next iterate
                 u = cand
-                I, r, z, grad = cand_data
+                I, r, z, grad, dlam = cand_data
                 accepted = True
                 break
             curvature = 2.0 * (cand_data[0] - I - slope * s)

@@ -10,8 +10,8 @@ import pytest
 
 import anderson2d as a2
 from anderson2d import ChoquardProblem
-from anderson2d.choquard import (_dlambda, _newton_direction,
-                                 _selfdual_gradient, quadratic_value)
+from anderson2d.choquard import (_newton_direction, _selfdual_gradient,
+                                 quadratic_value)
 from anderson2d.potentials import Potential, constant
 
 from conftest import random_field
@@ -188,7 +188,7 @@ def test_gradient_cached_kernel_matches_rolled_kernel(grid16):
     prob = seeded_choquard(grid16, 31)
     u = random_field(grid16, 35)
     assert np.max(np.abs(prob.w - prob.w[::-1, ::-1])) > 0.1
-    _, r, z, grad = _selfdual_gradient(prob, u)
+    _, r, z, grad, _ = _selfdual_gradient(prob, u)
     w_rev = np.roll(prob.w[::-1, ::-1], 1, axis=(0, 1))
     fp = prob.p * np.abs(u) ** (prob.p - 2.0) * u
     gp = (prob.q - 1.0) * np.abs(u) ** (prob.q - 2.0)
@@ -322,7 +322,7 @@ def test_selfdual_gradient_matches_central_difference(grid8, p, q):
     prob = ChoquardProblem(op=op, a=constant(grid8, 1.0), w=w, p=p, q=q)
     u = random_field(grid8, 55)
     v = random_field(grid8, 56)
-    _, _, _, grad = _selfdual_gradient(prob, u)
+    _, _, _, grad, _ = _selfdual_gradient(prob, u)
     expect = a2.inner_l2(grid8, grad, v)
     eps = 1e-6
     fd = (a2.selfdual_value(prob, u + eps * v)
@@ -346,7 +346,7 @@ def test_dlambda_matches_central_difference(grid8, p, q):
     prob = _noise_choquard(grid8, 61, p, q)
     u = random_field(grid8, 63)
     d = random_field(grid8, 64)
-    got = _dlambda(prob, u)(d)
+    got = _selfdual_gradient(prob, u)[4](d)
     eps = 1e-6
     fd = (a2.lambda_apply(prob, u + eps * d)
           - a2.lambda_apply(prob, u - eps * d)) / (2.0 * eps)
@@ -359,20 +359,19 @@ def test_newton_direction_matches_dense_oracle(grid8):
     # number about 4.6 and eta = 1e-10 takes 18 iterations (34 at amplitude 1)
     prob = _noise_choquard(grid8, 65)
     u = random_field(grid8, 67, scale=0.5)
-    _, _, z, _ = _selfdual_gradient(prob, u)
+    _, _, z, _, dlam = _selfdual_gradient(prob, u)
     mat_a = -dense_h_oracle(grid8, prob.op.xi) + prob.op.c * np.eye(64) \
         + np.diag(prob.a.field.ravel())
-    dlam = _dlambda(prob, u)
     mat_dl = np.column_stack([dlam(e.reshape(8, 8)).ravel()
                               for e in np.eye(64)])
     newton = np.eye(64) + np.linalg.solve(mat_a, mat_dl)
     expect = np.linalg.solve(newton, -z.ravel()).reshape(8, 8)
-    d, its = _newton_direction(prob, u, z, 1e-10)
+    d, its = _newton_direction(prob, dlam, z, 1e-10)
     assert 1 <= its <= a2.choquard.GMRES_MAX_ITERATIONS
     assert np.max(np.abs(d - expect)) <= 1e-8 * np.max(np.abs(expect))
     # the loose forcing term of the first iterations: fewer iterations, and
     # a freshly applied product meets the bound
-    d, loose_its = _newton_direction(prob, u, z, 0.5)
+    d, loose_its = _newton_direction(prob, dlam, z, 0.5)
     assert loose_its < its
     res = -z - d - prob.solve_a(dlam(d))
     assert np.linalg.norm(res) <= 0.5 * np.linalg.norm(z)
@@ -381,10 +380,46 @@ def test_newton_direction_matches_dense_oracle(grid8):
 def test_newton_direction_raises_at_its_cap(grid8, monkeypatch):
     prob = _noise_choquard(grid8, 65)
     u = random_field(grid8, 67)
-    _, _, z, _ = _selfdual_gradient(prob, u)
+    _, _, z, _, dlam = _selfdual_gradient(prob, u)
     monkeypatch.setattr(a2.choquard, "GMRES_MAX_ITERATIONS", 1)
     with pytest.raises(a2.SolverError, match="Newton GMRES not converged"):
-        _newton_direction(prob, u, z, 1e-10)
+        _newton_direction(prob, dlam, z, 1e-10)
+
+
+def test_newton_direction_raises_on_a_non_finite_product(grid8, monkeypatch):
+    # a NaN A-solve makes the Arnoldi vector non-finite: a SolverError,
+    # not the least-squares solver's LinAlgError
+    prob = _noise_choquard(grid8, 65)
+    u = random_field(grid8, 67)
+    _, _, z, _, dlam = _selfdual_gradient(prob, u)
+    monkeypatch.setattr(ChoquardProblem, "solve_a",
+                        lambda self, rhs: np.full_like(rhs, np.nan))
+    with pytest.raises(a2.SolverError, match="Newton GMRES: non-finite"):
+        _newton_direction(prob, dlam, z, 1e-10)
+
+
+def test_selfdual_minimize_work_counts_on_the_benchmark_problem(monkeypatch):
+    # the choquard-n64 benchmark problem without its seeded symmetry: noise
+    # seed 17, a = 1, w = -1, start 0.85 randn; exact counts, so a change
+    # of work shows here
+    grid = a2.TorusGrid(64)
+    op = a2.AndersonOperator(grid, a2.sample_white_noise(grid, seed=17))
+    prob = ChoquardProblem(op=op, a=constant(grid, 1.0), w=-np.ones((64, 64)))
+    init = 0.85 * np.random.default_rng(1).standard_normal((64, 64))
+    solves = []
+    solve_a = ChoquardProblem.solve_a
+
+    def counted_solve(self, rhs):
+        solves.append(1)
+        return solve_a(self, rhs)
+
+    monkeypatch.setattr(ChoquardProblem, "solve_a", counted_solve)
+    res = a2.selfdual_minimize(prob, init=init, tol=1e-6)
+    assert res.converged
+    assert res.iterations == 5
+    assert res.info["gmres_iterations"] == 8
+    assert res.info["line_search_trials"] == 5
+    assert len(solves) == 14
 
 
 def test_selfdual_minimize_converges_from_a_large_start():

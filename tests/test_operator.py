@@ -230,14 +230,22 @@ def test_constant_noise_shift():
 
 
 def test_renormalized_operator_subtracts_the_log_drift():
-    g = TorusGrid(16)
-    xi = a2.sample_white_noise(g, 13).field
-    raw = AndersonOperator(g, xi)
-    ren = AndersonOperator(g, xi, renormalize=True)
-    drift = np.log(16) / (2.0 * np.pi)
-    assert ren.renormalize and not raw.renormalize
-    assert np.array_equal(ren.xi, xi - drift)
-    assert abs(ren.lambda_max_h - (raw.lambda_max_h - drift)) <= 1e-9
+    # lambda_max and c fall by log(n) / (2 pi); with noise seed 3 at n = 16
+    # lambda_max goes from 0.442341685 to 0.001070485, a shift of 0.44127120
+    for n, seed in ((16, 13), (16, 3), (32, 3)):
+        g = TorusGrid(n)
+        xi = a2.sample_white_noise(g, seed).field
+        raw = AndersonOperator(g, xi)
+        ren = AndersonOperator(g, xi, renormalize=True)
+        drift = np.log(n) / (2.0 * np.pi)
+        assert ren.renormalize and not raw.renormalize
+        assert np.array_equal(ren.xi, xi - drift)
+        assert abs(ren.lambda_max_h - (raw.lambda_max_h - drift)) <= 1e-9
+        assert ren.lambda_max_h > 0
+        assert abs(ren.c - (raw.c - drift)) <= 1e-9
+        if (n, seed) == (16, 3):
+            assert abs(raw.lambda_max_h - 0.442341685) <= 1e-9
+            assert abs(ren.lambda_max_h - 0.001070485) <= 1e-9
 
 
 def test_symmetry(grid8, op8):
