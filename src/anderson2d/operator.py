@@ -6,8 +6,10 @@ the energy norm, resolvent, heat semigroup e^{t H_c} = e^{t(H - c)} and
 Green function used throughout.
 
 Every grid size runs the same matrix-free path: H is applied as the FFT
-Laplacian plus a diagonal, and the one preconditioner is (-Delta + sigma)^{-1}
-applied by FFT.  Both are grid.fourier_multiply, the package's one
+Laplacian plus a diagonal, and the one Fourier preconditioner is
+(-Delta + sigma)^{-1} applied by FFT (the gap pencil of a positive a is
+preconditioned by the diagonal 1/a instead).  Both are
+grid.fourier_multiply, the package's one
 rfft2 -> symbol -> irfft2 routine, with a half-spectrum symbol: the grid's
 cached -(k1^2 + k2^2) and 1 / (sigma + k1^2 + k2^2).  Only the dense_h
 oracle uses the complex fft2/ifft2.  Eigenpairs come from the package's
@@ -443,7 +445,11 @@ class AndersonOperator:
         with sigma = max(mean(V + xi), 0) + 1 (1 for the shift's V = -xi),
         to the active residuals R in one fourier_multiply call and needs no
         other FFT: (-Delta + sigma) T R = R gives A T R = R + (V - sigma) T R
-        and B T R = R + (V_B - sigma) T R; the products AE and BE of the
+        and B T R = R + (V_B - sigma) T R.  When V - V_B > 0 at every node
+        (the gap pencil of an a > 0), A - B is that positive diagonal and T
+        is its inverse, the inverse of A - mu B at mu = 1 (Knyazev 2001);
+        then the one fourier_multiply is Delta T R, and B T R = A T R - R.
+        The products AE and BE of the
         constraints are formed once, and AX, BX, AP and BP follow from the
         Rayleigh-Ritz recurrences.  Every row block and FFT half-spectrum of
         a step is written into a workspace allocated once per call; a block
@@ -492,23 +498,40 @@ class AndersonOperator:
                     x = 1.0 / np.sqrt(size) + 1e-2 * x / np.linalg.norm(x)
             else:
                 x = np.reshape(start, (k, size))
-            sigma = max(float(np.mean(va + self.xi.ravel())), 0.0) + 1.0
-            inverse = _shifted_laplacian_inverse(grid, sigma)
-            shift_a = va - sigma
-            shift_b = None if vb is None else vb - sigma
             # the half-spectra of the preconditioner's FFT pairs
             spectrum = np.empty((k, n, n // 2 + 1), dtype=complex)
+            if vb is not None and np.min(va - vb) > 0:
+                inv_d = 1.0 / (va - vb)
+                lap_sym = grid.lap_multiplier_half.astype(complex)
 
-            def precondition(r, out):
-                """(W, A W, B W) for W = T R, by one fourier_multiply, written
-                into the block ``out``."""
-                w, aw, bw = out
-                inverse(r.reshape(-1, n, n), out=w.reshape(-1, n, n),
-                        scratch=spectrum[:len(r)])
-                np.add(r, np.multiply(shift_a, w, out=aw), out=aw)
-                if vb is not None:
-                    np.add(r, np.multiply(shift_b, w, out=bw), out=bw)
-                return out
+                def precondition(r, out):
+                    """(W, A W, B W) for W = (V - V_B)^{-1} R, by one
+                    fourier_multiply (Delta W, in B W's rows), written into
+                    the block ``out``: B W = A W - R."""
+                    w, aw, bw = out
+                    np.multiply(inv_d, r, out=w)
+                    fourier_multiply(grid, w.reshape(-1, n, n), lap_sym,
+                                     out=bw.reshape(-1, n, n),
+                                     scratch=spectrum[:len(r)])
+                    np.subtract(np.multiply(va, w, out=aw), bw, out=aw)
+                    np.subtract(aw, r, out=bw)
+                    return out
+            else:
+                sigma = max(float(np.mean(va + self.xi.ravel())), 0.0) + 1.0
+                inverse = _shifted_laplacian_inverse(grid, sigma)
+                shift_a = va - sigma
+                shift_b = None if vb is None else vb - sigma
+
+                def precondition(r, out):
+                    """(W, A W, B W) for W = T R, by one fourier_multiply,
+                    written into the block ``out``."""
+                    w, aw, bw = out
+                    inverse(r.reshape(-1, n, n), out=w.reshape(-1, n, n),
+                            scratch=spectrum[:len(r)])
+                    np.add(r, np.multiply(shift_a, w, out=aw), out=aw)
+                    if vb is not None:
+                        np.add(r, np.multiply(shift_b, w, out=bw), out=bw)
+                    return out
 
             x = _lobpcg(apply(_project_off(x, E)), precondition, E)
 

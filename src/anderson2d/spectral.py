@@ -225,6 +225,12 @@ def gap_delta(op, a, spectrum):
     onto E_{>m}.  That share is needed: e_{m+1} is an eigenvector of A, and
     when a is constant it is also a pencil eigenvector, with the largest
     quotient if a > 0, so a start from e_{m+1} alone would stop there.
+
+    With m = -1 and a > 0, A - B = diag(a) is positive definite, and
+    `lowest_eigenpairs` preconditions by T = 1/a (Knyazev 2001), the inverse
+    of A - mu B at mu = 1, the quotient's lower bound; the default
+    T = (-Delta + sigma)^{-1} stalls on this pencil at n >= 64.  With m = -1
+    and min a = 0, delta = 1 with no solve.
     """
     grid = op.grid
     a = grid.check_field(_as_field(a))
@@ -232,6 +238,11 @@ def gap_delta(op, a, spectrum):
     m = spectrum.m
     if len(spectrum.eigenvalues) <= m + 1:
         raise ValueError("spectrum must contain at least m + 2 eigenpairs")
+    if m == -1 and np.min(a) == 0.0:
+        # a >= 0: every quotient is at least 1, and the indicator of a node
+        # where a = 0 attains it
+        spectrum.delta = 1.0
+        return 1.0
     w = np.random.default_rng(0).standard_normal((n, n))
     w -= sum(inner_l2(grid, e, w) * e for e in spectrum.eigenfields[:m + 1])
     e = spectrum.eigenfields[m + 1]

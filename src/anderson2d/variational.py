@@ -172,13 +172,16 @@ class SolveResult:
 
 def energy(problem, u):
     """Phi(u) = 1/2 ||u||_E^2 + int (1/2 a u^2 - F(., u))."""
-    op, grid = problem.op, problem.grid
-    u = grid.check_field(u)
-    quad = 0.5 * op.energy_norm(u)**2
+    u = problem.grid.check_field(u)
+    return _energy(problem, u, problem.op.apply_minus_hc(u))
+
+
+def _energy(problem, u, au):
+    """Phi(u) from the product au = (-H_c) u."""
+    grid = problem.grid
     with np.errstate(over="ignore"):  # an overflow raises OverflowError below
-        rest = grid.cell_measure * float(
+        val = 0.5 * inner_l2(grid, au, u) + grid.cell_measure * float(
             np.sum(0.5 * problem.a.field * u * u - problem.nl.F(u)))
-    val = quad + rest
     if not np.isfinite(val):
         raise OverflowError("energy overflowed; field is too large")
     return val
@@ -186,8 +189,12 @@ def energy(problem, u):
 
 def residual(problem, u):
     """(-H_c + a) u - f(., u), the L^2 representative of Phi'(u)."""
-    op = problem.op
-    return op.apply_minus_hc(u) + problem.a.field * u - problem.nl.f(u)
+    return _residual(problem, u, problem.op.apply_minus_hc(u))
+
+
+def _residual(problem, u, au):
+    """The residual from the product au = (-H_c) u."""
+    return au + problem.a.field * u - problem.nl.f(u)
 
 
 def energy_gradient(problem, u):
@@ -287,12 +294,13 @@ def newton_solve(problem, u0, tol=1e-6, deflate=()):
     the roots in ``deflate``; `_newton_step` steps are backtracked on the
     deflated residual norm.  Returns (u, iterations) on success; raises
     SolverError otherwise.  Acceptance is on the *undeflated* relative
-    residual.
+    residual; the accepted trial's residual is the next step's, so each
+    point's residual is evaluated once.
     """
     grid = problem.grid
     u = grid.check_field(u0).copy()
+    R = residual(problem, u)
     for it in range(100):
-        R = residual(problem, u)
         res = norm_l2(grid, R)
         if res <= tol * (1.0 + norm_l2(grid, u)):
             return u, it
@@ -302,9 +310,9 @@ def newton_solve(problem, u0, tol=1e-6, deflate=()):
         for _ in range(30):
             cand = u + s * step
             Mc, _ = _deflation_factor(grid, cand, deflate)
-            gc = norm_l2(grid, Mc * residual(problem, cand))
-            if gc < (1.0 - 1e-4 * s) * M * res:
-                u = cand
+            R_cand = residual(problem, cand)
+            if norm_l2(grid, Mc * R_cand) < (1.0 - 1e-4 * s) * M * res:
+                u, R = cand, R_cand
                 break
             s *= 0.5
         else:
@@ -325,65 +333,47 @@ def _result_from(problem, u, iterations, method, trace=None, seed=None,
     )
 
 
-def _initial_amplitude(problem, v):
-    """Nehari scale of a direction v: the root t of psi(t) = Q(v) t -
-    <f(t v), v>, bracketed on the geometric grid ts = geomspace(1e-2, 1e3,
-    60) and found to rounding by Newton steps on psi, psi'(t) = Q(v) -
-    <f'(t v) v, v>, that fall back to bisection when they leave the
-    bracket.
+def _initial_amplitude(problem, v, av=None):
+    """Nehari scale of a direction v: the root t in [1e-2, 1e3] of psi(t)
+    = Q(v) t - <f(t v), v>, Q(v) = <(-H_c + a) v, v>, to rounding; 1 when
+    psi has no sign change there (as for v = 0).  ``av`` is (-H_c) v when
+    the caller has it.
 
-    The bracket search starts at the two grid points around t = 1, ts[23]
-    and ts[24], and walks one point at a time up while psi > 0 and down
-    while it is not, until psi changes sign; it returns 1 when the walk
-    leaves the grid.  When f(z)/z increases in |z| (pow3, pow_ell),
-    psi(t)/t decreases, so each ray meets the Nehari manifold at most once
-    (Szulkin & Weth 2009) and psi > 0 below the root: the walk finds the
-    bracket of the grid's one sign change, while evaluating psi only near
-    the root, which for a direction of unit scale lies next to t = 1."""
-    op, grid = problem.op, problem.grid
-    nl = problem.nl
-    quad = op.energy_norm(v)**2 + inner_l2(grid, problem.a.field * v, v)
-    ts = np.geomspace(1e-2, 1e3, 60)
-
-    def signs(chunk):
-        # a start this large overflows in energy too, and is skipped there
-        with np.errstate(over="ignore"):
-            return np.sign(quad * chunk - grid.cell_measure * np.sum(
-                nl.f(chunk[:, None, None] * v) * v, axis=(1, 2)))
-
-    i = 23  # ts[23] < 1 < ts[24]
-    s_lo, s_hi = signs(ts[i:i + 2])
-    while s_lo == s_hi:
-        if s_hi > 0:  # the root lies above ts[i + 1]
-            i += 1
-            if i + 1 == len(ts):
+    Newton steps in s = log t from t = 1, on G(s) = log(<f(t v), v> / (t
+    Q(v))) with G'(s) = t <f'(t v) v, v> / <f(t v), v> - 1, each one f and
+    one f' field; a power f (pow3, pow_ell) makes G linear, so one step
+    lands on the root.  When f(z)/z increases in |z|, psi(t)/t decreases:
+    each ray meets the Nehari manifold at most once (Szulkin & Weth 2009),
+    psi > 0 below the root, and each point narrows the root's bracket.  A
+    step is clipped to [1e-2, 1e3], which tries an end while the bracket
+    is open on its side; one that leaves the bracket bisects it.  An
+    overflow of f(t v) lies above the root.  Stops once s moves by at most
+    1e-14."""
+    grid, nl = problem.grid, problem.nl
+    if av is None:
+        av = problem.op.apply_minus_hc(v)
+    s_min, s_max = np.log([1e-2, 1e3])
+    s, lo, hi = 0.0, -np.inf, np.inf  # s = log t and the bracket of the root
+    with np.errstate(all="ignore"):  # psi = -inf or nan on an overflow
+        quad = inner_l2(grid, av + problem.a.field * v, v)
+        for _ in range(100):
+            t = np.exp(s)
+            fv = inner_l2(grid, nl.f(t * v), v)
+            psi = quad * t - fv
+            if psi == 0:
+                break
+            lo, hi = (s, hi) if psi > 0 else (lo, s)
+            if lo >= s_max or hi <= s_min:
                 return 1.0
-            s_lo, s_hi = s_hi, signs(ts[i + 1:i + 2])[0]
-        else:
-            i -= 1
-            if i < 0:
-                return 1.0
-            s_lo, s_hi = signs(ts[i:i + 1])[0], s_lo
-    lo, hi, lo_positive = ts[i], ts[i + 1], s_lo > 0
-    t = 0.5 * (lo + hi)
-    for _ in range(100):
-        tv = t * v
-        psi = quad * t - inner_l2(grid, nl.f(tv), v)
-        if psi == 0:
-            break
-        if (psi > 0) == lo_positive:
-            lo = t
-        else:
-            hi = t
-        dpsi = quad - inner_l2(grid, nl.dfdz(tv) * v, v)
-        t_new = t - psi / dpsi if dpsi != 0 else np.nan
-        if not lo < t_new < hi:  # also when nan
-            t_new = 0.5 * (lo + hi)
-        done = abs(t_new - t) <= 1e-14 * t
-        t = t_new
-        if done:
-            break
-    return float(t)
+            slope = t * inner_l2(grid, nl.dfdz(t * v) * v, v) / fv - 1.0
+            s_new = np.clip(s - np.log(fv / (t * quad)) / slope, s_min, s_max)
+            if not lo < s_new < hi:  # also when nan
+                s_new = (s_min if lo == -np.inf else s_max if hi == np.inf
+                         else 0.5 * (lo + hi))
+            s, s_old = s_new, s
+            if abs(s - s_old) <= 1e-14:
+                break
+    return float(np.exp(s))
 
 
 def _negative_endpoint(problem, v):
@@ -434,7 +424,10 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
     sqrt(||g||_E)) (Eisenstat & Walker 1996), or at a non-positive
     curvature, and raises SolverError at its cap of 10 n^2 iterations.
     Switching earlier moves the end point of some starts to another local
-    minimum.
+    minimum.  Each point is evaluated once: the descent carries (-H_c) u,
+    a step applies -H_c to d only, and a trial t(v) v gets t(v) ((-H_c) u +
+    s (-H_c) d) with no FFT, from which its Nehari scale, Phi, residual and
+    E-norm, the Barzilai-Borwein quotient and q follow.
 
     Stops at ||g||_E <= sqrt(tol), for Newton to polish.  Returns (u,
     work), unconverged if ``max_iter`` steps are taken or a line search
@@ -444,9 +437,12 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
     ``trace`` at each iterate.
     """
     op, grid = problem.op, problem.grid
-    u = _initial_amplitude(problem, v0) * v0
-    phi = energy(problem, u)
-    r, g = energy_gradient(problem, u)
+    av = op.apply_minus_hc(v0)
+    t = _initial_amplitude(problem, v0, av)
+    u, au = t * v0, t * av
+    phi = _energy(problem, u, au)
+    r = _residual(problem, u, au)
+    g = op.resolvent_solve(0.0, r)
     s = 1.0
     newton_below = 0.1 * grad_e_norm(problem, r, g)
     work = dict.fromkeys(("nehari_gradient_steps", "nehari_newton_steps",
@@ -454,7 +450,7 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
     for _ in range(max_iter):
         gn = grad_e_norm(problem, r, g)
         if trace is not None:
-            trace.append((phi, gn, op.energy_norm(u)))
+            trace.append((phi, gn, np.sqrt(max(inner_l2(grid, au, u), 0.0))))
         if gn <= np.sqrt(tol):
             break
         newton = gn <= newton_below
@@ -462,15 +458,17 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
             d, inner = _pcg(grid, op.c,
                             problem.a.field - problem.nl.dfdz(u) - op.xi, -r,
                             min(0.5, np.sqrt(gn)), 10 * grid.n * grid.n,
-                            q=op.apply_minus_hc(u))
+                            q=au)
             work["nehari_pcg_iterations"] += inner
             step, decrease = 1.0, -1e-4 * inner_l2(grid, r, d)
         else:
             d, step, decrease = -g, s, 1e-4 * gn * gn
+        ad = op.apply_minus_hc(d)
         for _ in range(30):
-            v = u + step * d
-            cand = _initial_amplitude(problem, v) * v
-            phi_cand = energy(problem, cand)
+            v, av = u + step * d, au + step * ad
+            t = _initial_amplitude(problem, v, av)
+            cand, a_cand = t * v, t * av
+            phi_cand = _energy(problem, cand, a_cand)
             if phi_cand <= phi - step * decrease:
                 break
             step *= 0.5
@@ -479,12 +477,13 @@ def nehari_minimize(problem, v0, tol=1e-6, max_iter=1000, trace=None):
         work["nehari_newton_steps" if newton else "nehari_gradient_steps"] += 1
         if not newton:
             s = step
-        r_cand, g = energy_gradient(problem, cand)
+        r_cand = _residual(problem, cand, a_cand)
+        g = op.resolvent_solve(0.0, r_cand)
         du = cand - u
         curvature = inner_l2(grid, du, r_cand - r)
         if curvature > 0:
-            s = op.energy_norm(du)**2 / curvature
-        u, phi, r = cand, phi_cand, r_cand
+            s = inner_l2(grid, a_cand - au, du) / curvature
+        u, au, phi, r = cand, a_cand, phi_cand, r_cand
     return u, work
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import platform
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -504,6 +505,19 @@ def test_cli_runs_as_a_module(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (tmp_path / "spectrum.json").exists()
+
+
+def test_readme_command_lines_run(tmp_path):
+    # every anderson2d line of README's sh blocks, its comment dropped and
+    # its output redirected by a last --out
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("anderson2d ")]
+    assert len(lines) == 7
+    for i, line in enumerate(lines):
+        argv = shlex.split(line, comments=True)[1:]
+        code = cli.main(argv + ["--out", str(tmp_path / str(i))])
+        assert code == 0, line
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -358,6 +358,36 @@ def test_gap_delta_converges_at_n64():
     assert 0.0 < delta <= spec.eigenvalues[3]
 
 
+def test_gap_delta_of_a_positive_potential_converges_at_n64():
+    # m = -1 and a > 0: LOBPCG preconditioned by 1/a; with (-Delta +
+    # sigma)^{-1} it stopped at its cap, at eigenvalue 1.00012834856 with
+    # residual 1.340e-03.  The value is the dense generalized eigh's
+    g = TorusGrid(64)
+    op = AndersonOperator(g, a2.sample_white_noise(g, 7))
+    a = spike(g, 2.0)
+    spec = a2.eigendecompose(op, a, 8)
+    assert spec.m == -1
+    assert a2.gap_delta(op, a, spec) == pytest.approx(1.0001283409705015,
+                                                      rel=1e-12)
+
+
+def test_gap_delta_is_one_at_a_zero_node(grid8, op8, monkeypatch):
+    # a >= 0 with a = 0 at one node: that node's indicator attains 1
+    field = np.abs(random_field(grid8, 12))
+    field[3, 5] = 0.0
+    a = Potential(field=field, declared_p=2.0)
+    spec = a2.eigendecompose(op8, a, 6)
+    assert spec.m == -1
+    assert _dense_pencil_gap(op8, a)[1] == pytest.approx(1.0, rel=1e-12)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("gap_delta ran an eigen-solve")
+
+    monkeypatch.setattr(op8, "lowest_eigenpairs", no_solve)
+    assert a2.gap_delta(op8, a, spec) == 1.0
+    assert spec.delta == 1.0
+
+
 def _dense_pencil_gap(op, a):
     """(m, delta) from dense matrices: the lowest eigenvalue of the pencil
     (A, B) restricted to the span of A's positive eigenvectors."""

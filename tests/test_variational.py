@@ -351,6 +351,38 @@ def test_mountain_pass_on_criterion5_reports_its_descent():
             res.info["nehari_pcg_iterations"]) == (10, 3, 11)
 
 
+def test_nehari_descent_on_criterion5_evaluates_each_point_once(
+        monkeypatch):
+    # e_0's descent and polish: a trial takes its product with -H_c from
+    # those of u and d, and each pow3 Nehari scale evaluates f twice
+    fields = {"fft": 0, "f": 0}
+    base = a2.pow3()
+
+    def f(z):
+        fields["f"] += z.size // 32**2
+        return base.f(z)
+
+    prob = _criterion5_problem()
+    prob = a2.AndersonProblem(
+        op=prob.op, a=prob.a,
+        nl=Nonlinearity(f=f, dfdz=base.dfdz, F=base.F, ell=base.ell,
+                        gamma=base.gamma, k=base.k, odd=True, name="pow3"))
+    e0 = a2.eigendecompose(prob.op, prob.a, 8).eigenfields[0]
+    rfft = np.fft.rfft  # the forward pass of every fourier_multiply
+
+    def counting(u, *args, **kwargs):
+        fields["fft"] += u.size // 32**2
+        return rfft(u, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    u, work = nehari_minimize(prob, e0, tol=1e-5)
+    u, _ = a2.newton_solve(prob, u, tol=1e-5, deflate=[prob.grid.zeros()])
+    monkeypatch.undo()
+    assert tuple(work.values()) == (10, 3, 11)
+    assert fields == {"fft": 353, "f": 49}
+    assert a2.energy(prob, u) == pytest.approx(5.485265599293404, rel=1e-12)
+
+
 def test_zero_noise_bump_lies_below_constant(grid16):
     # a genuine solution below the constant one's pi^2: the level reached
     # from e_0 is not the least positive level in general
@@ -512,46 +544,6 @@ def _bisected_scale(problem, v):
     return mid
 
 
-def _scanned_scale(problem, v):
-    """Oracle: the Nehari scale bracketed by the first sign change of the
-    whole 60-point scan, taken in chunks of 15 points, then refined by the
-    same safeguarded Newton steps."""
-    op, grid, nl = problem.op, problem.grid, problem.nl
-    quad = op.energy_norm(v)**2 + a2.inner_l2(grid, problem.a.field * v, v)
-    ts = np.geomspace(1e-2, 1e3, 60)
-    vals = np.empty(0)
-    for k in range(0, len(ts), 15):
-        chunk = ts[k:k + 15]
-        vals = np.append(vals, quad * chunk - grid.cell_measure * np.sum(
-            nl.f(chunk[:, None, None] * v) * v, axis=(1, 2)))
-        sign_change = np.where(np.diff(np.sign(vals)) != 0)[0]
-        if len(sign_change):
-            break
-    else:
-        return 1.0
-    i = sign_change[0]
-    lo, hi, lo_positive = ts[i], ts[i + 1], vals[i] > 0
-    t = 0.5 * (lo + hi)
-    for _ in range(100):
-        tv = t * v
-        psi = quad * t - a2.inner_l2(grid, nl.f(tv), v)
-        if psi == 0:
-            break
-        if (psi > 0) == lo_positive:
-            lo = t
-        else:
-            hi = t
-        dpsi = quad - a2.inner_l2(grid, nl.dfdz(tv) * v, v)
-        t_new = t - psi / dpsi if dpsi != 0 else np.nan
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        done = abs(t_new - t) <= 1e-14 * t
-        t = t_new
-        if done:
-            break
-    return float(t)
-
-
 @pytest.mark.parametrize("nl", [a2.pow3(), a2.pow_ell(4)],
                          ids=["pow3", "pow4"])
 def test_initial_amplitude_matches_bisection(grid16, nl):
@@ -561,11 +553,20 @@ def test_initial_amplitude_matches_bisection(grid16, nl):
         v = random_field(grid16, seed, scale=0.2 * 3.0**seed)
         t = _initial_amplitude(prob, v)
         assert t == pytest.approx(_bisected_scale(prob, v), rel=1e-14)
-        # f(z)/z increases in |z|, so the whole scan has one sign change,
-        # and the walk from t = 1 finds its bracket: the same t to the bit
-        assert t == _scanned_scale(prob, v)
     # psi = 0 on the whole grid: no sign change, scale 1
     assert _initial_amplitude(prob, np.zeros((16, 16))) == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e4, 1e-200])
+def test_initial_amplitude_without_a_root_in_range_is_one(grid16, scale):
+    # pow3 puts the root of v / scale at scale t(v), outside [1e-2, 1e3];
+    # at 1e-200 f(t v) overflows, which counts as lying above the root
+    op = a2.AndersonOperator(grid16, a2.sample_white_noise(grid16, 5))
+    prob = a2.AndersonProblem(op=op, a=spike(grid16, 2.0), nl=a2.pow3())
+    v = random_field(grid16, 3)
+    v *= _initial_amplitude(prob, v)
+    assert _initial_amplitude(prob, v) == pytest.approx(1.0, rel=1e-12)
+    assert _initial_amplitude(prob, v / scale) == 1.0
 
 
 def test_initial_amplitude_scans_only_next_to_its_root(grid16):
@@ -585,14 +586,14 @@ def test_initial_amplitude_scans_only_next_to_its_root(grid16):
     prob = a2.AndersonProblem(op=op, a=spike(grid16, 2.0), nl=nl)
     v = random_field(grid16, 3)
     v *= _initial_amplitude(prob, v)
-    # scales within one grid step of 1: ts[22] = 0.73 and ts[25] = 1.31
-    for scale in (0.8, 0.95, 1.0, 1.05, 1.25):
+    for scale in (0.05, 0.8, 0.95, 1.0, 1.05, 1.25, 20.0):
         fields.update(f=0, dfdz=0)
         t = _initial_amplitude(prob, v / scale)
         assert t == pytest.approx(scale, rel=1e-12)
-        # each Newton step evaluates f and then f' once, except a last step
-        # that lands on the root exactly; the rest of f's fields are the scan
-        assert fields["f"] - fields["dfdz"] <= 4
+        # each Newton step in log t evaluates f and then f' once, and a
+        # point where psi = 0 exactly needs no f'; for pow3 the first step
+        # lands on the root, and the second evaluation confirms it
+        assert fields["f"] - 1 <= fields["dfdz"] <= fields["f"] <= 3
 
 
 # ---------------------------------------------------------------------------
